@@ -42,6 +42,7 @@ from .solver import (
     WeightReport,
     _abs_leq,
     _eq_scalar,
+    evaluate_special_matrix,
     positive_kernel,
     solve_special_weights,
     verify_graph_weight,
@@ -284,7 +285,7 @@ def scale_determinant(graph: DirectedGraph, lam0: dict) -> Poly:
     """Determinant of the skeleton system g = C * (weighted adjacency) g as a
     polynomial in the scale C; entries C*sum(lam0) - identity on non-sinks.
 
-    Exact lambda values go through fraction-free elimination; float values
+    Exact lambda values go through ``det_bareiss_poly``; float values
     (possible after a numeric kernel fallback) are handled by evaluating the
     determinant at sample points and interpolating."""
     if any(isinstance(v, float) for v in lam0.values()):
@@ -606,8 +607,6 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
     families: list[TriangularFamily] = []
     for fam in report.families:
         eta = fam.eta
-        from .solver import evaluate_special_matrix
-
         rows_a = evaluate_special_matrix(bg.graph, eta)
         rows_b = evaluate_special_matrix(pg.graph, eta)
         stacked = rows_a + rows_b

@@ -7,7 +7,16 @@ are exact and deterministic.  Floating point enters only through the
 
 The root machinery follows the classical exact recipe: square-free reduction
 by gcd, Sturm sequences for root counting, and interval bisection for
-isolation and refinement.  Determinants of polynomial matrices use
+isolation and refinement.
+
+Determinants of polynomial matrices with integer coefficients (every
+det(lambda*A - I) the solver builds) are computed by evaluation and
+interpolation modulo one prime: the matrix is evaluated at x = 0..d, where d
+bounds the determinant's degree, each value matrix is eliminated modulo the
+prime, and the values are Newton-interpolated.  The prime exceeds twice a
+Hadamard bound on the determinant's coefficients, so the symmetric residues
+are the integer coefficients themselves; no step is probabilistic.  Other
+polynomial matrices (rational or number-field coefficients) use
 fraction-free (Bareiss) elimination, whose intermediate divisions are exact
 by the Sylvester identity.
 """
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import isqrt
 
 from .errors import ZeroDivisor, ZeroPolynomial
 
@@ -696,13 +706,39 @@ def scalar_sign(x) -> int:
 # Determinants and kernels
 # ---------------------------------------------------------------------------
 
+# Exponents p of Mersenne primes 2**p - 1, the moduli of the modular
+# determinant.  The largest allows coefficient bounds of about 65,000 digits.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+)
+
+
 def det_bareiss_poly(rows: list[list[Poly]]) -> Poly:
-    """Exact determinant of a square matrix of polynomials by fraction-free
+    """Exact determinant of a square matrix of polynomials.
+
+    When every coefficient is an integer, the determinant is found modulo
+    the smallest tabulated Mersenne prime M with M > 2B and M > d, where d is
+    the sum over rows of the largest entry degree (a bound on the
+    determinant's degree) and B bounds every coefficient by Hadamard's
+    inequality applied to the expansion of the determinant in the rows'
+    coefficient vectors: |c_k| <= prod_i sum_k ||row i of A_k||_2 for
+    A(x) = sum_k A_k x^k.  Values at x = 0..d come from Gaussian elimination
+    modulo M and are Newton-interpolated; since |c_k| < M/2, the symmetric
+    residues are the coefficients.
+
+    Other matrices (non-integral rational or number-field coefficients,
+    or a bound beyond the largest tabulated prime) go through fraction-free
     elimination.  Deterministic: pivots are taken in order, with row swaps
     (and a sign flip) only to skip zero pivots."""
     n = len(rows)
     if n == 0:
         return Poly([Fraction(1)])
+    ints = _integer_entries(rows)
+    if ints is not None:
+        modular = _det_poly_modular(ints)
+        if modular is not None:
+            return modular
     a = [row[:] for row in rows]
     one = Poly([Fraction(1)])
     prev = one
@@ -724,6 +760,114 @@ def det_bareiss_poly(rows: list[list[Poly]]) -> Poly:
         prev = a[k][k]
     det = a[-1][-1]
     return -det if sign < 0 else det
+
+
+def _integer_entries(rows: list[list[Poly]]) -> list[list[list[int]]] | None:
+    """Coefficient lists of the entries as ints, or None if any coefficient
+    is not an integer."""
+    out = []
+    for row in rows:
+        out_row = []
+        for entry in row:
+            cs = []
+            for c in entry.coeffs:
+                if not (isinstance(c, Fraction) and c.denominator == 1):
+                    return None
+                cs.append(c.numerator)
+            out_row.append(cs)
+        out.append(out_row)
+    return out
+
+
+def _ceil_sqrt(s: int) -> int:
+    return isqrt(s - 1) + 1 if s else 0
+
+
+def _det_poly_modular(ints: list[list[list[int]]]) -> Poly | None:
+    """Determinant of an integer polynomial matrix by evaluation and
+    interpolation modulo one prime; None when the coefficient bound exceeds
+    every tabulated prime."""
+    n = len(ints)
+    degree = 0
+    bound = 1
+    for row in ints:
+        width = max(len(cs) for cs in row)
+        if width == 0:
+            return Poly([])  # a zero row
+        degree += width - 1
+        bound *= sum(
+            _ceil_sqrt(sum(cs[k] * cs[k] for cs in row if k < len(cs))) for k in range(width)
+        )
+    prime = next(
+        (m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS) if m > 2 * bound and m > degree),
+        None,
+    )
+    if prime is None:
+        return None
+    sparse = [[(j, cs) for j, cs in enumerate(row) if cs] for row in ints]
+    values = []
+    for t in range(degree + 1):
+        a = []
+        for row in sparse:
+            dense = [0] * n
+            for j, cs in row:
+                v = 0
+                for c in reversed(cs):
+                    v = v * t + c
+                dense[j] = v % prime
+            a.append(dense)
+        values.append(_det_mod(a, prime))
+    coeffs = _newton_interpolate_mod(values, prime)
+    half = prime // 2
+    return Poly([Fraction(c - prime if c > half else c) for c in coeffs])
+
+
+def _det_mod(a: list[list[int]], p: int) -> int:
+    """Determinant modulo the prime ``p`` of a matrix with entries reduced
+    modulo ``p``, by Gaussian elimination in place.  Rows whose pivot-column
+    entry is zero, and columns that are zero in the pivot row, are skipped."""
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pivot_row = a[k]
+        det = det * pivot_row[k] % p
+        inv = pow(pivot_row[k], -1, p)
+        cols = [(j, pivot_row[j]) for j in range(k + 1, n) if pivot_row[j]]
+        for i in range(k + 1, n):
+            row = a[i]
+            if row[k]:
+                f = row[k] * inv % p
+                for j, v in cols:
+                    row[j] = (row[j] - f * v) % p
+    return det % p
+
+
+def _newton_interpolate_mod(values: list[int], p: int) -> list[int]:
+    """Coefficients, ascending and modulo ``p``, of the polynomial of degree
+    < len(values) taking ``values[t]`` at x = t (requires p > len(values))."""
+    c = list(values)
+    d = len(c) - 1
+    # divided differences at the points 0..d: x_i - x_{i-j} = j
+    for j in range(1, d + 1):
+        inv = pow(j, -1, p)
+        for i in range(d, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    # expand c[0] + c[1] x + c[2] x (x - 1) + ... by Horner in the Newton basis
+    out = [c[d]]
+    for i in range(d - 1, -1, -1):
+        # out <- out * (x - i) + c[i]
+        shifted = [0] + out
+        for k in range(len(out)):
+            shifted[k] = (shifted[k] - i * out[k]) % p
+        shifted[0] = (shifted[0] + c[i]) % p
+        out = shifted
+    return out
 
 
 def det_exact(rows) -> object:

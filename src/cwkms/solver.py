@@ -206,8 +206,8 @@ def boundary_matrix(graph: DirectedGraph, mode: str = "special", lam: dict | Non
 
 
 def det_polynomial(m: BoundaryMatrix) -> Poly:
-    """Exact determinant of a special-mode matrix, by fraction-free
-    elimination over the polynomial ring."""
+    """Exact determinant of a special-mode matrix.  Its entries have
+    integer coefficients, so ``det_bareiss_poly`` takes its modular path."""
     if m.mode != "special":
         raise ValueError("det_polynomial expects a special-mode matrix")
     return det_bareiss_poly(m.entries)
@@ -241,15 +241,26 @@ def _is_float_matrix(rows) -> bool:
 
 
 def _normalize_sup(vec):
-    """Scale an exact vector so its largest-magnitude component becomes 1."""
-    best = None
-    for x in vec:
-        mag = -x if scalar_sign(x) < 0 else x
-        if best is None or scalar_sign(mag - best) > 0:
-            best = mag
-    if best is None or scalar_sign(best) == 0:
-        return vec
-    return [x / best for x in vec]
+    """Scale an exact vector so that its largest-magnitude invertible
+    component becomes 1.
+
+    Over a reducible modulus a nonzero component can be a zero divisor,
+    which has no inverse; such components are passed over.  The vector is
+    returned unscaled when it is zero or no component is invertible."""
+    mags = [-x if scalar_sign(x) < 0 else x for x in vec]
+    candidates = list(range(len(vec)))
+    while candidates:
+        best = candidates[0]
+        for i in candidates[1:]:
+            if scalar_sign(mags[i] - mags[best]) > 0:
+                best = i
+        if scalar_sign(mags[best]) == 0:
+            return vec
+        try:
+            return [x / mags[best] for x in vec]
+        except ZeroDivisor:
+            candidates.remove(best)
+    return vec
 
 
 def positive_kernel(rows, tol: float = POSITIVITY_THRESHOLD) -> KernelResult:

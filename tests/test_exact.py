@@ -177,6 +177,68 @@ class TestDeterminants:
     def test_det_exact_singular(self):
         assert det_exact([[F(1), F(2)], [F(2), F(4)]]) == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_integer_pencil_matches_sympy(self, data):
+        """det(A0 + x*A1) of small integer pencils, with negative entries,
+        multiplicities and zero (sink) rows, against sympy."""
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(st.integers(1, 7))
+        entry = st.integers(-3, 3)
+        rows = []
+        for _ in range(n):
+            if data.draw(st.integers(0, 5)) == 0:
+                rows.append([Poly([]) for _ in range(n)])
+            else:
+                rows.append([Poly.from_ints([data.draw(entry), data.draw(entry)]) for _ in range(n)])
+        x = sympy.Symbol("x")
+        m = sympy.Matrix(n, n, lambda i, j: sum(int(c) * x**k for k, c in enumerate(rows[i][j].coeffs)))
+        want = sympy.Poly(m.det(method="domain-ge").expand(), x).all_coeffs()[::-1]
+        assert det_bareiss_poly(rows) == Poly.from_ints(want)
+
+    def test_bound_beyond_prime_table_keeps_exact_result(self, monkeypatch):
+        """With 2**61 - 1 as the only prime, coefficients near 2**70 exceed
+        the bound and must not be reduced modulo it."""
+        import cwkms.exact
+
+        monkeypatch.setattr(cwkms.exact, "_MERSENNE_EXPONENTS", (61,))
+        big = 2**70 + 3
+        rows = [[Poly.from_ints([big, 1]), Poly.from_ints([1])], [Poly.from_ints([0]), Poly.from_ints([1, 1])]]
+        assert det_bareiss_poly(rows) == Poly.from_ints([big, big + 1, 1])
+
+    def test_non_integer_coefficients_keep_bareiss_results(self, figb, figb_boundary):
+        """Scale determinants on the figB skeleton with number-field and with
+        non-integral rational weights."""
+        from cwkms.cwweights import scale_determinant
+        from cwkms.solver import solve_special_weights
+
+        eta = solve_special_weights(figb_boundary.graph).faithful_families()[0].eta
+        k = eta.number_field()
+        x = k.gen()
+        lam0 = {"a": x**3, "b": x**2, "c": x, "d": k.one(), "e": x**2, "f": x}
+        det = scale_determinant(figb.skeleton, lam0)
+        # -1 + eta^3 C^3 + eta^6 C^4, with eta^6 = 1 - eta + eta^2 - eta^3
+        want = [[-1], [], [], [0, 0, 0, 1], [1, -1, 1, -1]]
+        assert [c.rep for c in det.coeffs] == [Poly.from_ints(w) for w in want]
+
+        lam0 = {"a": F(1, 2), "b": F(2, 3), "c": F(3, 4), "d": F(1), "e": F(5, 7), "f": F(-1, 3)}
+        assert scale_determinant(figb.skeleton, lam0) == Poly([F(-1), F(0), F(0), F(-5, 21), F(1, 4)])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_de_bruijn_any_vertex_order(self, seed):
+        """B(2,6) has det(x*A - I) = 1 - 2x whatever the vertex order."""
+        import itertools
+        import random
+
+        from cwkms.graphs import build_graph
+        from cwkms.solver import boundary_matrix, det_polynomial
+
+        words = ["".join(w) for w in itertools.product("01", repeat=6)]
+        edges = [{"id": f"{w}>{s}", "src": w, "dst": w[1:] + s} for w in words for s in "01"]
+        random.Random(seed).shuffle(words)
+        graph = build_graph({"vertices": words, "edges": edges})
+        assert det_polynomial(boundary_matrix(graph)) == Poly.from_ints([1, -2])
+
     def test_kernel_basis(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(0), F(0)], [F(1), F(1), F(0)]]
         basis = kernel_basis_exact(rows)

@@ -217,6 +217,24 @@ class TestSolvePipeline:
         rep = solve_special_weights(g)
         assert rep.status == "degenerate"
 
+    def test_zero_divisor_largest_component(self):
+        """At the root ~0.505 the square-free modulus is reducible and the
+        largest kernel component is a zero divisor; the vector is scaled by
+        the largest invertible component instead."""
+        cycle = [0, 12, 11, 1, 6, 8, 5, 7, 4, 3, 10, 2, 9, 0]
+        extra = [(10, 8), (7, 7), (4, 10), (10, 1), (4, 6), (4, 8), (7, 0),
+                 (11, 9), (11, 10), (6, 4), (5, 8), (12, 10), (3, 1)]
+        pairs = list(zip(cycle, cycle[1:])) + extra
+        spec = {
+            "vertices": [f"v{i}" for i in range(13)],
+            "edges": [{"id": f"e{k}", "src": f"v{a}", "dst": f"v{b}"} for k, (a, b) in enumerate(pairs)],
+        }
+        rep = solve_special_weights(build_graph(spec))
+        assert [f.kernel.status for f in rep.families].count("positive") == 1
+        fam = rep.faithful_families()[0]
+        assert abs(fam.eta.to_float() - 0.505) < 1e-3
+        assert 1 in fam.kernel.positive
+
     def test_brute_force_oracle_agreement(self):
         """Exhaustive rational elimination agrees with positive_kernel on the
         existence of strictly positive solutions (grid of rational lambdas)."""
