@@ -10,6 +10,8 @@ from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec
 
+from .test_golden import expected, golden_text
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -150,6 +152,7 @@ def test_splice_cli(capsys, tmp_path, figb):
 
 def test_a2_sectors(capsys):
     code, out, _ = run(capsys, "a2", "sectors", "gamma-q2", "--matched")
+    assert golden_text(code, out) == expected("a2-sectors-matched-gamma-q2")
     assert code == 0
     data = json.loads(out)
     assert len(data["plus"]["vertices"]) == 21
