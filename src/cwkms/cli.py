@@ -17,7 +17,6 @@ from pathlib import Path as FsPath
 from . import buildings, fixtures
 from .complexes import boundary_graph, build_complex, complex_to_dict
 from .cwweights import (
-    MODE_RANK2,
     MODE_STANDARD,
     MODE_TIGHT,
     Rank2Weight,
@@ -26,6 +25,7 @@ from .cwweights import (
     solve_triangular_special,
     verify_rank2,
     verify_triangular,
+    weight_from_dict,
 )
 from .errors import AmbiguousSector, CWKMSError, InputError
 from .exact import AlgebraicScalar, scalar_to_float
@@ -41,7 +41,6 @@ from .pathalgebra import (
 from .solver import (
     DEFAULT_EPS,
     DEFAULT_TOL,
-    GraphWeight,
     format_scalar,
     parse_scalar,
     solve_special_weights,
@@ -61,24 +60,34 @@ def _read_input(path: str) -> str:
 
 
 def _load_json(path: str) -> tuple[dict, str]:
+    """Every input file holds one JSON object; returns it and its digest."""
     text = _read_input(path)
-    return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data, hashlib.sha256(text.encode()).hexdigest()
+
+
+def rational(text: str) -> Fraction:
+    """Type of the ``--eps`` and ``--tol`` options; argparse reports a zero
+    denominator like any other invalid value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
 
 
 def _scalar_json(x) -> dict:
     """Decimal string plus the exact form when one is available."""
-    out = {"decimal": format_scalar(scalar_to_float(x)) if not isinstance(x, (int, Fraction)) else format_scalar(x)}
     if isinstance(x, (int, Fraction)):
-        out["rational"] = format_scalar(Fraction(x))
-        out["decimal"] = f"{float(x):.15g}"
-    elif isinstance(x, AlgebraicScalar):
-        out["decimal"] = f"{x.to_float():.15g}"
-        if x.is_rational:
-            out["rational"] = format_scalar(x.rational)
-        else:
-            out["minimal_poly"] = [str(c) for c in x.poly.coeffs]
+        return {"decimal": f"{float(x):.15g}", "rational": format_scalar(Fraction(x))}
+    if not isinstance(x, AlgebraicScalar):
+        return {"decimal": f"{scalar_to_float(x):.15g}"}
+    out = {"decimal": f"{x.to_float():.15g}"}
+    if x.is_rational:
+        out["rational"] = format_scalar(x.rational)
     else:
-        out["decimal"] = f"{scalar_to_float(x):.15g}"
+        out["minimal_poly"] = [str(c) for c in x.poly.coeffs]
     return out
 
 
@@ -147,7 +156,7 @@ def cmd_solve_graph(args) -> int:
         graph = boundary_graph(build_complex(data)).graph
     else:
         graph = build_graph(data)
-    rep = solve_special_weights(graph, Fraction(args.eps) if args.eps else DEFAULT_EPS)
+    rep = solve_special_weights(graph, args.eps)
     out = {
         "command": "solve-graph",
         "input_sha256": digest,
@@ -165,7 +174,7 @@ def cmd_solve_graph(args) -> int:
 def cmd_solve_cw(args) -> int:
     data, digest = _load_json(args.input)
     c = build_complex(data)
-    fams = solve_2dcw(c, args.mode, special=args.special, eps=Fraction(args.eps) if args.eps else DEFAULT_EPS)
+    fams = solve_2dcw(c, args.mode, eps=args.eps)
     out = {
         "command": "solve-cw",
         "input_sha256": digest,
@@ -188,7 +197,7 @@ def cmd_solve_cw(args) -> int:
 def cmd_solve_triangular(args) -> int:
     data, digest = _load_json(args.input)
     c = build_complex(data)
-    fams = solve_triangular_special(c, Fraction(args.eps) if args.eps else DEFAULT_EPS)
+    fams = solve_triangular_special(c, args.eps)
     out = {
         "command": "solve-triangular",
         "input_sha256": digest,
@@ -207,50 +216,25 @@ def cmd_solve_triangular(args) -> int:
     return EXIT_OK if fams else EXIT_FAIL
 
 
-def _parse_rank2_weight(data: dict, mode: str | None) -> Rank2Weight:
-    eta_instances = {}
-    for key, val in data.get("eta_instances", {}).items():
-        fid, pos = key.rsplit(":", 1)
-        eta_instances[(fid, int(pos))] = parse_scalar(val)
-    return Rank2Weight(
-        g={k: parse_scalar(v) for k, v in data["g"].items()},
-        lambda_tilde={k: parse_scalar(v) for k, v in data["lambda_tilde"].items()},
-        lam={k: parse_scalar(v) for k, v in data["lambda"].items()},
-        eta={k: parse_scalar(v) for k, v in data.get("eta", {}).items()},
-        mode=mode or data.get("mode", MODE_RANK2),
-        eta_instances=eta_instances,
-    )
+def _graph_of(obj: dict, boundary: bool):
+    """The graph a graph weight lives on: a graph file's graph, or a
+    complex's skeleton, or its boundary graph when ``boundary`` is set."""
+    if "faces" not in obj:
+        return build_graph(obj)
+    c = build_complex(obj)
+    return boundary_graph(c).graph if boundary else c.skeleton
 
 
 def cmd_verify(args) -> int:
     obj, digest1 = _load_json(args.object)
     wdata, digest2 = _load_json(args.weight)
-    tol = Fraction(args.tol) if args.tol else DEFAULT_TOL
-    is_complex = "faces" in obj
-    if "eta_a" in wdata:
-        c = build_complex(obj)
-        w = TriangularWeight(
-            g={k: parse_scalar(v) for k, v in wdata["g"].items()},
-            lambda_tilde={k: parse_scalar(v) for k, v in wdata["lambda_tilde"].items()},
-            lam={k: parse_scalar(v) for k, v in wdata["lambda"].items()},
-            eta_a={k: parse_scalar(v) for k, v in wdata["eta_a"].items()},
-            eta_b={k: parse_scalar(v) for k, v in wdata["eta_b"].items()},
-            tight=bool(wdata.get("tight", False)),
-        )
-        rep = verify_triangular(c, w, tol).to_dict()
-    elif "lambda_tilde" in wdata:
-        c = build_complex(obj)
-        w = _parse_rank2_weight(wdata, args.mode)
-        rep = verify_rank2(c, w, tol).to_dict()
+    w = weight_from_dict(wdata, args.mode)
+    if isinstance(w, TriangularWeight):
+        rep = verify_triangular(build_complex(obj), w, args.tol).to_dict()
+    elif isinstance(w, Rank2Weight):
+        rep = verify_rank2(build_complex(obj), w, args.tol).to_dict()
     else:
-        graph = boundary_graph(build_complex(obj)).graph if (is_complex and args.boundary) else (
-            build_complex(obj).skeleton if is_complex else build_graph(obj)
-        )
-        w = GraphWeight(
-            g={k: parse_scalar(v) for k, v in wdata["g"].items()},
-            lam={k: parse_scalar(v) for k, v in wdata["lambda"].items()},
-        )
-        rep = verify_graph_weight(graph, w, tol).to_dict()
+        rep = verify_graph_weight(_graph_of(obj, args.boundary), w, args.tol).to_dict()
     out = {
         "command": "verify",
         "object_sha256": digest1,
@@ -264,26 +248,26 @@ def cmd_verify(args) -> int:
 def cmd_kms_check(args) -> int:
     obj, digest1 = _load_json(args.object)
     wdata, digest2 = _load_json(args.weight)
-    tol = Fraction(args.tol) if args.tol else DEFAULT_TOL
     beta_sign = -1 if args.beta_sign == "-" else 1
-    is_complex = "faces" in obj
-    if "lambda_tilde" in wdata:
-        if not is_complex:
+    w = weight_from_dict(wdata)
+    if isinstance(w, TriangularWeight):
+        raise InputError("kms-check takes a rank-2 or graph weight, not a triangular one")
+    if isinstance(w, Rank2Weight):
+        if "faces" not in obj:
             raise InputError("a rank-2 weight needs a complex, not a graph")
         c = build_complex(obj)
-        w = _parse_rank2_weight(wdata, None)
         psi = functional_from_rank2(c, w, beta_sign)
         sk_monos = all_monomials(c.skeleton, args.max_path_len)
         bd_monos = all_monomials(boundary_graph(c).graph, args.max_path_len)
-        rep1 = kms_check(psi.skeleton, [(x, y) for x in sk_monos for y in sk_monos], tol)
-        rep2 = kms_check(psi.boundary, [(x, y) for x in bd_monos for y in bd_monos], tol)
+        rep1 = kms_check(psi.skeleton, [(x, y) for x in sk_monos for y in sk_monos], args.tol)
+        rep2 = kms_check(psi.boundary, [(x, y) for x in bd_monos for y in bd_monos], args.tol)
         import random
 
         rng = random.Random(0)
         mixed = [
             Rank2Monomial(rng.choice(sk_monos), rng.choice(bd_monos)) for _ in range(100)
         ]
-        rep3 = kms_check(psi, [(rng.choice(mixed), rng.choice(mixed)) for _ in range(1000)], tol)
+        rep3 = kms_check(psi, [(rng.choice(mixed), rng.choice(mixed)) for _ in range(1000)], args.tol)
         gauge = gauge_check(psi, mixed)
         passed = rep1.passed and rep2.passed and rep3.passed and gauge.passed
         out = {
@@ -295,16 +279,10 @@ def cmd_kms_check(args) -> int:
             "passed": passed,
         }
     else:
-        graph = build_complex(obj).skeleton if is_complex else build_graph(obj)
-        if args.boundary and is_complex:
-            graph = boundary_graph(build_complex(obj)).graph
-        w = GraphWeight(
-            g={k: parse_scalar(v) for k, v in wdata["g"].items()},
-            lam={k: parse_scalar(v) for k, v in wdata["lambda"].items()},
-        )
+        graph = _graph_of(obj, args.boundary)
         psi = functional_from_graph_weight(graph, w, beta_sign)
         monos = all_monomials(graph, args.max_path_len)
-        rep = kms_check(psi, [(x, y) for x in monos for y in monos], tol)
+        rep = kms_check(psi, [(x, y) for x in monos for y in monos], args.tol)
         gauge = gauge_check(psi, monos)
         passed = rep.passed and gauge.passed
         out = {
@@ -324,11 +302,12 @@ def cmd_splice(args) -> int:
     am = build_amalgam(data)
     weights = {}
     for pname in am.pieces:
-        wpath = FsPath(args.weights) / f"{pname}.json"
-        wdata = json.loads(wpath.read_text())
-        weights[pname] = _parse_rank2_weight(wdata, MODE_STANDARD)
+        wdata, _ = _load_json(str(FsPath(args.weights) / f"{pname}.json"))
+        weights[pname] = weight_from_dict(wdata, MODE_STANDARD)
+        if not isinstance(weights[pname], Rank2Weight):
+            raise InputError(f"piece {pname!r}: splice takes rank-2 weights")
     spliced = splice_cw_weights(am, weights)
-    rep = verify_rank2(am.foundation, spliced, Fraction(args.tol) if args.tol else DEFAULT_TOL)
+    rep = verify_rank2(am.foundation, spliced, args.tol)
     out = {
         "command": "splice",
         "input_sha256": digest,
@@ -425,25 +404,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-graph", help="classify constant-edge-weight solutions")
     p.add_argument("input")
     p.add_argument("--boundary", action="store_true", help="input is a complex; solve on its boundary graph")
-    p.add_argument("--eps", default=None, help="root isolation width (default 1e-14)")
+    p.add_argument("--eps", type=rational, default=DEFAULT_EPS, help="root isolation width (default 1e-14)")
     p.set_defaults(func=cmd_solve_graph)
 
     p = sub.add_parser("solve-cw", help="solve 2D CW weights on a complex")
     p.add_argument("input")
     p.add_argument("--mode", choices=[MODE_STANDARD, MODE_TIGHT], default=MODE_STANDARD)
-    p.add_argument("--special", action="store_true", default=True)
-    p.add_argument("--eps", default=None)
+    p.add_argument("--eps", type=rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_cw)
 
     p = sub.add_parser("solve-triangular", help="solve tight triangular weights")
     p.add_argument("input")
-    p.add_argument("--eps", default=None)
+    p.add_argument("--eps", type=rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_triangular)
 
     p = sub.add_parser("verify", help="verify a weight file against an object")
     p.add_argument("object")
     p.add_argument("weight")
-    p.add_argument("--tol", default=None)
+    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
     p.add_argument("--mode", default=None, help="override rank-2 coupling mode")
     p.add_argument("--boundary", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -452,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("object")
     p.add_argument("weight")
     p.add_argument("--max-path-len", type=int, default=4)
-    p.add_argument("--tol", default=None)
+    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
     p.add_argument("--beta-sign", choices=["+", "-"], default="-")
     p.add_argument("--boundary", action="store_true")
     p.set_defaults(func=cmd_kms_check)
@@ -460,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("splice", help="splice piece weights over an amalgam")
     p.add_argument("input")
     p.add_argument("--weights", required=True, help="directory with <piece>.json weight files")
-    p.add_argument("--tol", default=None)
+    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("a2", help="rank-2 building constructions")

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import LabeledBoundaryGraph, Oriented2Complex, boundary_graph, predecessor_graph
-from .errors import MissingValue, ModeError, NonTriangularFace
+from .complexes import Oriented2Complex, boundary_graph, predecessor_graph
+from .errors import InputError, MissingValue, ModeError, NonTriangularFace
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -43,6 +43,7 @@ from .solver import (
     _abs_leq,
     _eq_scalar,
     evaluate_special_matrix,
+    parse_scalar,
     positive_kernel,
     solve_special_weights,
     verify_graph_weight,
@@ -99,17 +100,29 @@ class Rank2Weight:
         return all(_eq_scalar(x, vals[0]) for x in vals[1:]) if vals else True
 
 
-def boundary_weight_residuals(c: Oriented2Complex, w: Rank2Weight) -> dict[str, object]:
-    """Exact residuals of lam(e) = sum over face instances of eta * lam(next)
-    at every skeleton edge that appears in at least one face."""
+def boundary_weight_residuals(c: Oriented2Complex, lam: dict, eta_of, step: int = 1) -> dict[str, object]:
+    """Exact residuals of lam(e) = sum over face instances of eta * lam(e')
+    at every skeleton edge e that appears in at least one face, where e' is
+    the follower of e in the boundary word for ``step`` = +1 and its
+    predecessor for ``step`` = -1.  ``eta_of(face id, position)`` gives the
+    face coefficient of each instance."""
     sums: dict[str, object] = {}
     for f in c.faces:
         n = len(f.boundary)
         for k in range(n):
-            e_cur, e_next = f.boundary[k], f.boundary[(k + 1) % n]
-            term = w.eta_at(f.id, k) * w.lam[e_next]
+            e_cur = f.boundary[k]
+            term = eta_of(f.id, k) * lam[f.boundary[(k + step) % n]]
             sums[e_cur] = term if e_cur not in sums else sums[e_cur] + term
-    return {e: w.lam[e] - s for e, s in sums.items()}
+    return {e: lam[e] - s for e, s in sums.items()}
+
+
+def _residual_summary(sk_report: WeightReport, residual_maps: list[dict], tol: Fraction):
+    """Pass flag, absolute float residual maps and largest residual of a
+    skeleton report together with exact residual maps."""
+    within = [_abs_leq(r, tol) for m in residual_maps for r in m.values()]
+    floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
+    maxr = max([sk_report.max_residual] + [x for m in floats for x in m.values()])
+    return sk_report.passed and all(within), floats, maxr
 
 
 @dataclass
@@ -142,7 +155,7 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
         raise MissingValue("rank-2 weight is not total on the complex")
     tol = _as_fraction(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
-    bres = boundary_weight_residuals(c, w)
+    bres = boundary_weight_residuals(c, w.lam, w.eta_at)
     coupling: dict[str, object] = {}
     if w.mode == MODE_TIGHT:
         for e in c.skeleton.edges:
@@ -150,13 +163,7 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
     elif w.mode == MODE_STANDARD:
         for e in c.skeleton.edges:
             coupling[e.id] = w.lam[e.id] - w.lambda_tilde[e.id] * w.g[e.dst]
-    passed = sk_report.passed
-    for r in list(bres.values()) + list(coupling.values()):
-        if not _abs_leq(r, tol):
-            passed = False
-    bfl = {e: abs(scalar_to_float(r)) for e, r in bres.items()}
-    cfl = {e: abs(scalar_to_float(r)) for e, r in coupling.items()}
-    maxr = max([sk_report.max_residual] + list(bfl.values()) + list(cfl.values()))
+    passed, (bfl, cfl), maxr = _residual_summary(sk_report, [bres, coupling], tol)
     return Rank2Report(
         passed=passed,
         skeleton=sk_report,
@@ -189,11 +196,6 @@ class Rank2Family:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _boundary_families(bg: LabeledBoundaryGraph, eps):
-    report = solve_special_weights(bg.graph, eps)
-    return report, [f for f in report.families if f.faithful]
-
-
 def _vector_as_map(vertices, vec) -> dict:
     return dict(zip(vertices, vec))
 
@@ -201,16 +203,14 @@ def _vector_as_map(vertices, vec) -> dict:
 def solve_2dcw(
     c: Oriented2Complex,
     mode: str = MODE_STANDARD,
-    special: bool = True,
     eps=DEFAULT_EPS,
 ) -> list[Rank2Family]:
     """Enumerate special (constant eta) 2D CW weight families on ``c``.
 
-    Only constant-eta families are enumerated in either case: non-special
-    families form positive-dimensional varieties with no finite
-    classification, so they are covered by the parametric verifier instead
-    (pass a concrete quadruple to ``verify_rank2``).  ``special=False``
-    merely tags the result with that caveat.
+    Only constant-eta families are enumerated: non-special families form
+    positive-dimensional varieties with no finite classification, so they
+    are covered by the parametric verifier instead (pass a concrete
+    quadruple to ``verify_rank2``).
     """
     if mode not in (MODE_STANDARD, MODE_TIGHT):
         raise ModeError(f"unknown solve mode {mode!r}")
@@ -221,19 +221,12 @@ def solve_2dcw(
         # equation constrains anything, so there is no eta classification
         families = _solve_no_faces(c, mode, eps)
     else:
-        _, faithful = _boundary_families(bg, eps)
-        for fam in faithful:
+        for fam in solve_special_weights(bg.graph, eps).faithful_families():
             lam0 = _vector_as_map(bg.graph.vertices, fam.kernel.positive)
             if mode == MODE_STANDARD:
                 families.append(_lift_standard(c, fam.eta, lam0))
             else:
                 families.extend(_lift_tight(c, fam.eta, lam0, eps))
-    if not special:
-        for fam in families:
-            fam.diagnostics["note"] = (
-                "constant-eta families only; non-special families are "
-                "verified parametrically, not enumerated"
-            )
     return families
 
 
@@ -378,38 +371,41 @@ def _polish_root(coeffs: list[float], x: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]:
+    """Scale the boundary solution lam0 onto the skeleton: C*lam0 satisfies
+    the skeleton weight equation for a positive g exactly at the positive
+    roots C of the scale determinant with a positive kernel there.  Returns
+    the determinant and one (root, C*lam0, g) per such root."""
+    det = scale_determinant(sk, lam0)
+    if det.is_zero():
+        scale_roots: list = []
+    elif all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
+        scale_roots = isolate_positive_roots(det, _as_fraction(eps))
+    else:
+        scale_roots = _poly_positive_roots_numeric(det)
+    solutions = []
+    for root in scale_roots:
+        cval = _eta_scalar(root, lam0.values()) if isinstance(root, AlgebraicScalar) else root
+        lam_scaled = {eid: _mixed_mul(cval, lam0[eid]) for eid in lam0}
+        kr = positive_kernel(_skeleton_matrix_at(sk, lam_scaled))
+        if kr.status == "positive":
+            solutions.append((root, lam_scaled, _vector_as_map(sk.vertices, kr.positive)))
+    return det, solutions
+
+
 def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict, eps) -> list[Rank2Family]:
     """Tight-mode lift: lam = C*lam0 must itself satisfy the skeleton weight
     equation for some g, which happens exactly at positive roots C of the
     scale determinant."""
-    sk = c.skeleton
-    det = scale_determinant(sk, lam0)
+    det, solutions = _solve_scale(c.skeleton, lam0, eps)
     out: list[Rank2Family] = []
-    exact_coeffs = all(isinstance(cv, (int, Fraction)) for cv in det.coeffs)
-    if exact_coeffs:
-        scale_roots: list = isolate_positive_roots(det, _as_fraction(eps)) if not det.is_zero() else []
-    else:
-        scale_roots = _poly_positive_roots_numeric(det)
-    for root in scale_roots:
-        if isinstance(root, AlgebraicScalar):
-            cval = root.rational if root.is_rational else _eta_scalar(root, lam0.values())
-            cfloat = root.to_float()
-        else:
-            cval = root
-            cfloat = root
-        lam_scaled = {eid: _mixed_mul(cval, lam0[eid], cfloat) for eid in lam0}
-        rows = _skeleton_matrix_at(sk, lam_scaled)
-        kr = positive_kernel(rows)
-        if kr.status != "positive":
-            continue
-        g = _vector_as_map(sk.vertices, kr.positive)
+    for root, lam_scaled, g in solutions:
         etaval = _eta_scalar(eta, lam_scaled.values())
-        eta_map = {f.id: etaval for f in c.faces}
         w = Rank2Weight(
             g=g,
             lambda_tilde=dict(lam_scaled),
             lam=dict(lam_scaled),
-            eta=eta_map,
+            eta={f.id: etaval for f in c.faces},
             mode=MODE_TIGHT,
         )
         out.append(
@@ -425,11 +421,11 @@ def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict, eps) -> l
     return out
 
 
-def _mixed_mul(cval, lam_val, cfloat: float):
+def _mixed_mul(cval, lam_val):
     """C times a lambda component; falls back to floats when the scale is
     only known numerically."""
     if isinstance(cval, float):
-        return cfloat * scalar_to_float(lam_val)
+        return cval * scalar_to_float(lam_val)
     return cval * lam_val
 
 
@@ -529,35 +525,15 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
     _require_triangular(c)
     tol = _as_fraction(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
-
-    sums_a: dict[str, object] = {}
-    sums_b: dict[str, object] = {}
-    for f in c.faces:
-        n = len(f.boundary)
-        for k in range(n):
-            e_cur = f.boundary[k]
-            e_next = f.boundary[(k + 1) % n]
-            e_prev = f.boundary[(k - 1) % n]
-            ta = w.eta_a[f.id] * w.lam[e_next]
-            tb = w.eta_b[f.id] * w.lam[e_prev]
-            sums_a[e_cur] = ta if e_cur not in sums_a else sums_a[e_cur] + ta
-            sums_b[e_cur] = tb if e_cur not in sums_b else sums_b[e_cur] + tb
-    res_a = {e: w.lam[e] - s for e, s in sums_a.items()}
-    res_b = {e: w.lam[e] - s for e, s in sums_b.items()}
+    res_a = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_a[fid], 1)
+    res_b = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_b[fid], -1)
     tight_res: dict[str, object] = {}
     if w.tight:
         for e in c.skeleton.edges:
             tight_res[f"lambda[{e.id}]"] = w.lam[e.id] - w.lambda_tilde[e.id]
         for f in c.faces:
             tight_res[f"eta[{f.id}]"] = w.eta_a[f.id] - w.eta_b[f.id]
-    passed = sk_report.passed
-    for r in list(res_a.values()) + list(res_b.values()) + list(tight_res.values()):
-        if not _abs_leq(r, tol):
-            passed = False
-    fa = {e: abs(scalar_to_float(r)) for e, r in res_a.items()}
-    fb = {e: abs(scalar_to_float(r)) for e, r in res_b.items()}
-    ft = {k: abs(scalar_to_float(r)) for k, r in tight_res.items()}
-    maxr = max([sk_report.max_residual] + list(fa.values()) + list(fb.values()) + list(ft.values()))
+    passed, (fa, fb, ft), maxr = _residual_summary(sk_report, [res_a, res_b, tight_res], tol)
     vals = [w.g[v] for v in c.skeleton.vertices]
     vals += [w.lam[e.id] for e in c.skeleton.edges]
     vals += [w.eta_a[f.id] for f in c.faces] + [w.eta_b[f.id] for f in c.faces]
@@ -586,9 +562,6 @@ class TriangularFamily:
     det: Poly
     scale_det: Poly
 
-    def eta_float(self) -> float:
-        return self.eta.to_float()
-
 
 def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[TriangularFamily]:
     """Classify special faithful tight triangular weights.
@@ -614,26 +587,8 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
         if kr.status != "positive":
             continue
         lam0 = _vector_as_map(bg.graph.vertices, kr.positive)
-        det2 = scale_determinant(c.skeleton, lam0)
-        exact_coeffs = all(isinstance(cv, (int, Fraction)) for cv in det2.coeffs)
-        if exact_coeffs and not det2.is_zero():
-            scale_roots: list = isolate_positive_roots(det2, _as_fraction(eps))
-        elif det2.is_zero():
-            scale_roots = []
-        else:
-            scale_roots = _poly_positive_roots_numeric(det2)
-        for root in scale_roots:
-            if isinstance(root, AlgebraicScalar):
-                cval = root.rational if root.is_rational else _eta_scalar(root, lam0.values())
-                cfloat = root.to_float()
-            else:
-                cval, cfloat = root, root
-            lam_scaled = {eid: _mixed_mul(cval, lam0[eid], cfloat) for eid in lam0}
-            rows = _skeleton_matrix_at(c.skeleton, lam_scaled)
-            gk = positive_kernel(rows)
-            if gk.status != "positive":
-                continue
-            gmap = _vector_as_map(c.skeleton.vertices, gk.positive)
+        det2, solutions = _solve_scale(c.skeleton, lam0, eps)
+        for root, lam_scaled, gmap in solutions:
             etaval = _eta_scalar(eta, lam_scaled.values())
             w = TriangularWeight(
                 g=gmap,
@@ -655,3 +610,50 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
                 )
             )
     return families
+
+
+# ---------------------------------------------------------------------------
+# Weight files
+# ---------------------------------------------------------------------------
+
+def weight_from_dict(data, mode: str | None = None) -> TriangularWeight | Rank2Weight | GraphWeight:
+    """Weight from its JSON record, chosen by key: ``eta_a`` makes a
+    TriangularWeight, ``lambda_tilde`` a Rank2Weight and anything else a
+    GraphWeight.  ``data`` is the decoded JSON object; values are parsed
+    exactly, and ``mode`` overrides a rank-2 record's coupling mode."""
+
+    def values(key: str, required: bool = True) -> dict:
+        if key not in data:
+            if required:
+                raise MissingValue(f"weight file missing field {key!r}")
+            return {}
+        if not isinstance(data[key], dict):
+            raise InputError(f"weight file field {key!r} must be a JSON object")
+        return {k: parse_scalar(v) for k, v in data[key].items()}
+
+    if "eta_a" in data:
+        return TriangularWeight(
+            g=values("g"),
+            lambda_tilde=values("lambda_tilde"),
+            lam=values("lambda"),
+            eta_a=values("eta_a"),
+            eta_b=values("eta_b"),
+            tight=bool(data.get("tight", False)),
+        )
+    if "lambda_tilde" in data:
+        mode = mode or data.get("mode", MODE_RANK2)
+        if mode not in (MODE_RANK2, MODE_STANDARD, MODE_TIGHT):
+            raise ModeError(f"unknown rank-2 coupling mode {mode!r}")
+        eta_instances = {}
+        for key, val in values("eta_instances", required=False).items():
+            fid, pos = key.rsplit(":", 1)
+            eta_instances[(fid, int(pos))] = val
+        return Rank2Weight(
+            g=values("g"),
+            lambda_tilde=values("lambda_tilde"),
+            lam=values("lambda"),
+            eta=values("eta", required=False),
+            mode=mode,
+            eta_instances=eta_instances,
+        )
+    return GraphWeight(g=values("g"), lam=values("lambda"))

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MissingValue, ZeroDivisor, ZeroPolynomial
+from .errors import InputError, MissingValue, ZeroDivisor, ZeroPolynomial
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -390,9 +390,6 @@ class SpecialWeightFamily:
     kernel: KernelResult
     faithful: bool
 
-    def eta_float(self) -> float:
-        return self.eta.to_float()
-
 
 @dataclass
 class SpecialWeightReport:
@@ -433,28 +430,12 @@ def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeigh
 # ---------------------------------------------------------------------------
 
 def parse_scalar(text) -> Fraction:
-    """Parse a decimal string or a rational string "p/q" to an exact value."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text)
-    return Fraction(str(text))
-
-
-def weight_from_dict(data: dict) -> GraphWeight:
+    """Parse a number, a decimal string or a rational string "p/q" to an
+    exact value."""
     try:
-        g = {k: parse_scalar(v) for k, v in data["g"].items()}
-        lam = {k: parse_scalar(v) for k, v in data["lambda"].items()}
-    except KeyError as exc:
-        raise MissingValue(f"weight file missing field {exc}") from exc
-    return GraphWeight(g=g, lam=lam)
-
-
-def weight_to_dict(w: GraphWeight, digits: int = 15) -> dict:
-    return {
-        "g": {k: format_scalar(v, digits) for k, v in w.g.items()},
-        "lambda": {k: format_scalar(v, digits) for k, v in w.lam.items()},
-    }
+        return Fraction(text if isinstance(text, (int, float, Fraction)) else str(text))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"not a finite rational value: {text!r}") from None
 
 
 def format_scalar(x, digits: int = 15) -> str:

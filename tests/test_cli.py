@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, piping, determinism."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cwkms.cli import main
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
@@ -191,3 +195,96 @@ def test_malformed_json(capsys, tmp_path):
     p.write_text("{not json")
     code, _, err = run(capsys, "solve-graph", str(p))
     assert code == 2
+
+
+WEIGHT_FIELDS = ["g", "lambda", "lambda_tilde", "eta", "eta_a", "eta_b", "eta_instances", "mode", "tight"]
+
+
+@pytest.mark.parametrize(
+    "command, obj, weight, message",
+    [
+        ("verify", FIG_B_SPEC, {"g": [1, 2], "lambda": {}}, "field 'g' must be a JSON object"),
+        ("verify", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
+        ("verify", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
+        ("verify", FIG_B_SPEC, {"g": {"u": "1/0"}, "lambda": {}}, "not a finite rational value"),
+        ("verify", FIG_B_SPEC, {"g": {"u": float("inf")}, "lambda": {}}, "not a finite rational value"),
+        ("verify", FIG_B_SPEC, {"g": {}, "lambda": {}, "lambda_tilde": {}, "mode": "loose"}, "unknown rank-2"),
+        ("verify", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
+        ("kms-check", FIG_B_SPEC, {"g": [1, 2], "lambda": {}}, "field 'g' must be a JSON object"),
+        ("kms-check", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
+        ("kms-check", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
+        ("kms-check", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
+    ],
+)
+def test_malformed_weight_and_object_files(capsys, tmp_path, command, obj, weight, message):
+    (tmp_path / "obj.json").write_text(json.dumps(obj))
+    (tmp_path / "w.json").write_text(json.dumps(weight))
+    code, out, err = run(capsys, command, str(tmp_path / "obj.json"), str(tmp_path / "w.json"))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", [["solve-graph"], ["solve-graph", "--boundary"], ["boundary-graph"]])
+def test_top_level_list_object_exits_2(capsys, tmp_path, command):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    code, out, err = run(capsys, *command, str(p))
+    assert (code, out) == (2, "")
+    assert "expected a JSON object" in err
+
+
+def test_splice_rejects_graph_piece_weights(capsys, tmp_path):
+    am_path = tmp_path / "amalgam.json"
+    am_path.write_text(json.dumps(fig_b_double_amalgam_spec()))
+    wd = tmp_path / "weights"
+    wd.mkdir()
+    for name in ("p1", "p2"):
+        (wd / f"{name}.json").write_text(json.dumps({"g": {}, "lambda": {}}))
+    code, out, err = run(capsys, "splice", str(am_path), "--weights", str(wd))
+    assert (code, out) == (2, "")
+    assert "splice takes rank-2 weights" in err
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(alphabet="pq0/.:-e", max_size=6)
+)
+# object keys avoid figB's vertex, edge and face names, so no drawn weight is total
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(alphabet="pq:0", max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    weight=st.one_of(_json, st.dictionaries(st.sampled_from(WEIGHT_FIELDS), _json, max_size=6)),
+    command=st.sampled_from([["verify"], ["verify", "--boundary"], ["kms-check", "--max-path-len", "1"]]),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_weight_files_exit_2(tmp_path, figb_file, weight, command):
+    wpath = tmp_path / "fuzz.json"
+    wpath.write_text(json.dumps(weight))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, figb_file, str(wpath)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-graph", "--eps", "tiny", "FIG"], "argument --eps: invalid rational value: 'tiny'"),
+        (["solve-cw", "--eps", "1/0", "FIG"], "argument --eps: invalid rational value: '1/0'"),
+        (["solve-triangular", "--eps", "", "FIG"], "argument --eps: invalid rational value: ''"),
+        (["verify", "--tol", "abc", "FIG", "FIG"], "argument --tol: invalid rational value: 'abc'"),
+        (["kms-check", "--tol", "1e", "FIG", "FIG"], "argument --tol: invalid rational value: '1e'"),
+        (["splice", "FIG", "--weights", ".", "--tol", "x"], "argument --tol: invalid rational value: 'x'"),
+        (["solve-cw", "--special", "FIG"], "unrecognized arguments: --special"),
+    ],
+)
+def test_bad_options_exit_2(capsys, figb_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([figb_file if a == "FIG" else a for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
