@@ -21,7 +21,7 @@ from itertools import combinations
 from .complexes import Oriented2Complex, build_complex
 from .errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
 from .exact import scalar_sign, scalar_to_float
-from .graphs import DirectedGraph, build_graph
+from .graphs import DirectedGraph, build_graph, spec_ids, spec_int, spec_list, spec_object
 from .solver import DEFAULT_EPS, SpecialWeightFamily, solve_special_weights
 
 
@@ -136,12 +136,22 @@ class TrianglePresentation:
 def presentation_from_spec(spec: dict) -> TrianglePresentation:
     """Parse the JSON presentation format: q, points, lines (point lists),
     lambda (point -> line index), triples."""
-    points = tuple(spec["points"])
-    lines = tuple(frozenset(line) for line in spec["lines"])
-    plane = IncidencePlane(points, lines, int(spec["q"]))
+    spec_object(spec, "presentation spec")
+    points = tuple(spec_ids(spec["points"], "points"))
+    lines = tuple(frozenset(spec_ids(line, "line")) for line in spec_list(spec["lines"], "lines"))
+    plane = IncidencePlane(points, lines, spec_int(spec["q"], "q"))
     plane.validate()
-    line_of = {p: lines[int(idx)] for p, idx in spec["lambda"].items()}
-    tp = TrianglePresentation(plane, line_of, tuple(tuple(t) for t in spec["triples"]))
+    line_of = {}
+    for p, idx in spec_object(spec["lambda"], "lambda").items():
+        if not 0 <= spec_int(idx, f"lambda({p})") < len(lines):
+            raise InputError(f"lambda({p}) = {idx} is not a line index")
+        line_of[p] = lines[idx]
+    triples = []
+    for t in spec_list(spec["triples"], "triples"):
+        if len(spec_ids(t, "triple")) != 3:
+            raise InvalidTriple(f"triple {t!r} does not have three points")
+        triples.append(tuple(t))
+    tp = TrianglePresentation(plane, line_of, tuple(triples))
     tp.validate()
     return tp
 

@@ -69,12 +69,24 @@ def _load_json(path: str) -> tuple[dict, str]:
 
 
 def rational(text: str) -> Fraction:
-    """Type of the ``--eps`` and ``--tol`` options; argparse reports a zero
-    denominator like any other invalid value."""
+    """Type of the ``--tol`` options; argparse reports a zero denominator
+    like any other invalid value."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(text) from None
+
+
+def positive_rational(text: str) -> Fraction:
+    """Type of the ``--eps`` options: a root isolation width of 0 or less
+    would bisect forever."""
+    try:
+        value = rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _scalar_json(x) -> dict:
@@ -404,18 +416,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-graph", help="classify constant-edge-weight solutions")
     p.add_argument("input")
     p.add_argument("--boundary", action="store_true", help="input is a complex; solve on its boundary graph")
-    p.add_argument("--eps", type=rational, default=DEFAULT_EPS, help="root isolation width (default 1e-14)")
+    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS, help="root isolation width (default 1e-14)")
     p.set_defaults(func=cmd_solve_graph)
 
     p = sub.add_parser("solve-cw", help="solve 2D CW weights on a complex")
     p.add_argument("input")
     p.add_argument("--mode", choices=[MODE_STANDARD, MODE_TIGHT], default=MODE_STANDARD)
-    p.add_argument("--eps", type=rational, default=DEFAULT_EPS)
+    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_cw)
 
     p = sub.add_parser("solve-triangular", help="solve tight triangular weights")
     p.add_argument("input")
-    p.add_argument("--eps", type=rational, default=DEFAULT_EPS)
+    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_triangular)
 
     p = sub.add_parser("verify", help="verify a weight file against an object")

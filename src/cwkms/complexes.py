@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import BrokenBoundaryWord, DuplicateId, UnknownEdge
-from .graphs import DirectedGraph, Edge, build_graph, graph_to_dict
+from .graphs import DirectedGraph, Edge, build_graph, graph_to_dict, spec_id, spec_ids, spec_list, spec_object
 
 
 class ShortFaceWarning(UserWarning):
@@ -66,9 +66,10 @@ def build_complex(spec: dict) -> Oriented2Complex:
     skeleton = build_graph(spec)
     faces = []
     seen = set()
-    for rec in spec.get("faces", []):
-        fid = rec["id"]
-        word = tuple(rec["boundary"])
+    for rec in spec_list(spec.get("faces", []), "faces"):
+        spec_object(rec, "face record")
+        fid = spec_id(rec["id"], "face id")
+        word = tuple(spec_ids(rec["boundary"], f"boundary of face {fid!r}"))
         if fid in seen:
             raise DuplicateId(f"duplicate face id {fid!r}")
         seen.add(fid)

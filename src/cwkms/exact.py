@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from math import isqrt
 
-from .errors import ZeroDivisor, ZeroPolynomial
+from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
 
 def _as_fraction(x) -> Fraction:
@@ -439,11 +439,14 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
     The count is exact: the polynomial is reduced to its square-free part,
     positive rational roots are split off exactly when coefficient sizes
     permit, and the remaining roots are isolated with Sturm counts plus
-    bisection.
+    bisection.  ``eps`` must be positive: no interval around an irrational
+    root reaches width 0.
     """
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise InputError(f"root isolation width must be positive, got {eps}")
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    eps = _as_fraction(eps)
 
     # strip roots at zero
     coeffs = list(p.coeffs)

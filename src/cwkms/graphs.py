@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import DanglingEndpoint, DuplicateId, UnknownVertex
+from .errors import DanglingEndpoint, DuplicateId, InputError, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ def build_graph(spec: dict) -> DirectedGraph:
     Expected shape: ``{"vertices": [...], "edges": [{"id","src","dst"}...]}``
     with optional ``labels``.  Vertices referenced by edges must be declared.
     """
-    vertices = list(spec.get("vertices", []))
+    spec_object(spec, "graph spec")
+    vertices = list(spec_ids(spec.get("vertices", []), "vertices"))
     seen = set()
     for v in vertices:
         if v in seen:
@@ -98,8 +99,9 @@ def build_graph(spec: dict) -> DirectedGraph:
         seen.add(v)
     edges = []
     eseen = set()
-    for rec in spec.get("edges", []):
-        eid, src, dst = rec["id"], rec["src"], rec["dst"]
+    for rec in spec_list(spec.get("edges", []), "edges"):
+        spec_object(rec, "edge record")
+        eid, src, dst = spec_ids((rec["id"], rec["src"], rec["dst"]), "edge record")
         if eid in eseen:
             raise DuplicateId(f"duplicate edge id {eid!r}")
         eseen.add(eid)
@@ -108,7 +110,42 @@ def build_graph(spec: dict) -> DirectedGraph:
         if dst not in seen:
             raise DanglingEndpoint(f"edge {eid!r} has unknown target {dst!r}")
         edges.append(Edge(eid, src, dst))
-    return DirectedGraph(tuple(vertices), tuple(edges), dict(spec.get("labels", {})))
+    labels = spec_object(spec.get("labels", {}), "labels")
+    return DirectedGraph(tuple(vertices), tuple(edges), dict(labels))
+
+
+# Shape checks shared by the spec builders: a spec read from JSON may hold
+# any JSON value at any place, and a wrong one is malformed input.
+
+def spec_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def spec_list(value, what: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def spec_id(value, what: str):
+    """An id names a vertex, edge, face or point: a string or an integer."""
+    if not isinstance(value, (str, int)):
+        raise InputError(f"{what}: {value!r} is not a string or integer id")
+    return value
+
+
+def spec_ids(value, what: str) -> list:
+    for v in spec_list(value, what):
+        spec_id(v, what)
+    return value
+
+
+def spec_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
 
 
 def edge_bundle(graph: DirectedGraph, v: str) -> EdgeBundle:

@@ -18,7 +18,7 @@ from .complexes import Face, Oriented2Complex, build_complex
 from .cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight, verify_rank2
 from .errors import BadEmbedding, IncompatibleAttachment, ModeError, NotFaithful
 from .exact import scalar_sign
-from .graphs import DirectedGraph, Edge, build_graph
+from .graphs import DirectedGraph, Edge, build_graph, spec_id, spec_ids, spec_list, spec_object
 from .solver import DEFAULT_TOL, GraphWeight
 
 
@@ -226,20 +226,33 @@ def build_amalgam(spec: dict) -> Amalgam:
     """Assemble the foundation complex: disjoint union of the pieces with
     skeleton elements identified along the residue attachments.  Faces are
     never identified (residues are one-dimensional)."""
-    pieces = {name: build_complex(cspec) for name, cspec in spec.get("pieces", {}).items()}
-    residues = {name: build_graph(gspec) for name, gspec in spec.get("residues", {}).items()}
+    spec_object(spec, "amalgam spec")
+    pieces = {
+        name: build_complex(spec_object(cspec, f"piece {name!r}"))
+        for name, cspec in spec_object(spec.get("pieces", {}), "pieces").items()
+    }
+    residues = {
+        name: build_graph(spec_object(gspec, f"residue {name!r}"))
+        for name, gspec in spec_object(spec.get("residues", {}), "residues").items()
+    }
     attachments = []
-    for rec in spec.get("attachments", []):
-        pname, rname = rec["piece"], rec["residue"]
+    for rec in spec_list(spec.get("attachments", []), "attachments"):
+        spec_object(rec, "attachment record")
+        pname = spec_id(rec["piece"], "attachment piece")
+        rname = spec_id(rec["residue"], "attachment residue")
         if pname not in pieces:
             raise IncompatibleAttachment(f"attachment references unknown piece {pname!r}")
         if rname not in residues:
             raise IncompatibleAttachment(f"attachment references unknown residue {rname!r}")
+        vertex_map, edge_map = (
+            dict(spec_object(rec[key], f"attachment {key}")) for key in ("vertex_map", "edge_map")
+        )
+        spec_ids((*vertex_map.values(), *edge_map.values()), "attachment map image")
         emb = GraphEmbedding(
             source=residues[rname],
             target=pieces[pname].skeleton,
-            vertex_map=dict(rec["vertex_map"]),
-            edge_map=dict(rec["edge_map"]),
+            vertex_map=vertex_map,
+            edge_map=edge_map,
         )
         try:
             emb.validate()
@@ -262,18 +275,18 @@ def build_amalgam(spec: dict) -> Amalgam:
         for se, te in att.embedding.edge_map.items():
             uf_e.union(("piece", att.piece, te), ("res", att.residue, se))
 
+    # A glued class is named by the smallest residue id among its members;
+    # a class with no residue member keeps "<piece>:<id>".
+    res_name = {"v": _smallest_residue_ids(uf_v), "e": _smallest_residue_ids(uf_e)}
     name_owner: dict[str, dict] = {"v": {}, "e": {}}
 
     def class_name(uf, token, kind_key: str) -> str:
         root = uf.find(token)
-        members = [t for t in uf.parent if uf.find(t) == root]
-        res_ids = sorted(t[2] for t in members if t[0] == "res")
-        if res_ids:
-            name = res_ids[0]
-        else:
+        name = res_name[kind_key].get(root)
+        if name is None:
             _, pname, eid = token
             name = f"{pname}:{eid}"
-        owners = name_owner.setdefault(kind_key, {})
+        owners = name_owner[kind_key]
         if owners.setdefault(name, root) != root:
             raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
         return name
@@ -312,6 +325,23 @@ def build_amalgam(spec: dict) -> Amalgam:
     foundation = Oriented2Complex(skeleton, tuple(faces))
     _check_identifications(attachments, vertex_names, edge_names)
     return Amalgam(pieces, residues, attachments, foundation, vertex_names, edge_names, face_names)
+
+
+def _smallest_residue_ids(uf: _UnionFind) -> dict:
+    """Root of each class with a residue member -> its smallest residue id,
+    in one pass over the union-find entries."""
+    out: dict = {}
+    for token in uf.parent:
+        if token[0] == "res":
+            root = uf.find(token)
+            rid = token[2]
+            if root not in out:
+                out[root] = rid
+            elif type(rid) is not type(out[root]):
+                raise IncompatibleAttachment(f"residue ids {out[root]!r} and {rid!r} name one element")
+            elif rid < out[root]:
+                out[root] = rid
+    return out
 
 
 def _check_identifications(attachments, vertex_names, edge_names) -> None:

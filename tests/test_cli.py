@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from cwkms.cli import main
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.exact import scalar_to_float
-from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec
+from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec, gamma_q2_presentation_spec
 
 from .test_golden import expected, golden_text
 
@@ -288,3 +289,128 @@ def test_bad_options_exit_2(capsys, figb_file, argv, message):
         main([figb_file if a == "FIG" else a for a in argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-graph", "--boundary", "--eps", "0", "FIG"],
+        ["solve-graph", "--boundary", "--eps", "-1", "FIG"],
+        ["solve-cw", "--eps=-1/3", "FIG"],
+        ["solve-triangular", "--eps", "0.0", "FIG"],
+    ],
+)
+def test_nonpositive_eps_exit_2(capsys, figb_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([figb_file if a == "FIG" else a for a in argv])
+    assert exc.value.code == 2
+    assert "argument --eps: must be positive" in capsys.readouterr().err
+
+
+def test_zero_tol_stays_legal(capsys):
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code, out, _ = run(capsys, "verify", "--tol", "0", str(inputs / "figB.json"), str(inputs / "figB-rank2.json"))
+    assert code in (0, 1) and json.loads(out)["command"] == "verify"
+
+
+# base specs for the spec-shape tests, one per builder the CLI reaches
+SPEC_BASES = {
+    "boundary-graph": FIG_B_SPEC,
+    "splice": fig_b_double_amalgam_spec(),
+    "a2 complex": gamma_q2_presentation_spec(),
+}
+
+
+def _spec_argv(command: str, path: str, tmp_path) -> list[str]:
+    if command == "splice":
+        return ["splice", path, "--weights", str(tmp_path)]
+    return [*command.split(), path]
+
+
+def _replaced(spec, path: tuple, value):
+    """A deep copy of ``spec`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(spec))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _run_spec(tmp_path, command: str, spec) -> tuple[int, str, str]:
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_spec_argv(command, str(p), tmp_path))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("solve-graph", {"vertices": ["u"], "edges": [1]}, "edge record must be a JSON object"),
+        ("boundary-graph", {"vertices": 5}, "vertices must be a JSON list"),
+        ("splice", {"pieces": [1]}, "pieces must be a JSON object"),
+        ("solve-graph", {"vertices": "uv"}, "vertices must be a JSON list"),
+        ("solve-graph", {"vertices": [["u"]]}, "vertices: ['u'] is not a string or integer id"),
+        ("solve-graph", {"vertices": ["u"], "edges": [{"id": "e", "src": {}, "dst": "u"}]}, "edge record: {}"),
+        ("solve-graph", {"vertices": ["u"], "labels": [1]}, "labels must be a JSON object"),
+        ("boundary-graph", {**FIG_B_SPEC, "faces": 3}, "faces must be a JSON list"),
+        ("boundary-graph", {**FIG_B_SPEC, "faces": [[]]}, "face record must be a JSON object"),
+        ("boundary-graph", {**FIG_B_SPEC, "faces": [{"id": None, "boundary": []}]}, "face id: None"),
+        ("boundary-graph", {**FIG_B_SPEC, "faces": [{"id": "s", "boundary": "abcd"}]}, "boundary of face 's'"),
+        ("splice", {"pieces": {"p": 1}}, "piece 'p' must be a JSON object"),
+        ("splice", {"residues": {"r": []}}, "residue 'r' must be a JSON object"),
+        ("splice", {"attachments": {}}, "attachments must be a JSON list"),
+        ("splice", {"attachments": [2]}, "attachment record must be a JSON object"),
+        ("splice", _replaced(fig_b_double_amalgam_spec(), ("attachments", 0, "piece"), ["p1"]), "attachment piece"),
+        ("splice", _replaced(fig_b_double_amalgam_spec(), ("attachments", 0, "vertex_map"), []), "vertex_map"),
+        ("splice", _replaced(fig_b_double_amalgam_spec(), ("attachments", 1, "edge_map", "d"), [1]), "map image"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("q",), "2"), "q must be an integer"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lines", 0), 7), "line must be a JSON list"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda",), []), "lambda must be a JSON object"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda", "x0"), 7), "is not a line index"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda", "x0"), -1), "is not a line index"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("triples", 0), ["x0", "x1"]), "three points"),
+    ],
+)
+def test_malformed_spec_shapes_exit_2(tmp_path, command, spec, message):
+    code, out, err = _run_spec(tmp_path, command, spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def _slots(value, path=()):
+    """(path, type) of every value inside a spec, the spec itself included."""
+    yield path, type(value)
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _slots(child, (*path, key))
+
+
+SPEC_SLOTS = [(command, path, kind) for command, base in SPEC_BASES.items() for path, kind in _slots(base)]
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_small_list = st.lists(st.integers(), max_size=2)
+_small_dict = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+# per slot type, JSON values of a type that never fits there; ids are
+# strings or integers, so an integer stands in for a string id legally
+WRONG_VALUES = {
+    dict: st.one_of(_small_list, st.text(max_size=3), st.integers(), _finite, st.none(), st.booleans()),
+    list: st.one_of(_small_dict, st.text(max_size=3), st.integers(), _finite, st.none(), st.booleans()),
+    str: st.one_of(_small_list, _small_dict, _finite, st.none()),
+    int: st.one_of(_small_list, _small_dict, st.text(max_size=3), _finite, st.none(), st.booleans()),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_spec_shapes_exit_2(tmp_path, data):
+    command, path, kind = data.draw(st.sampled_from(SPEC_SLOTS))
+    spec = _replaced(SPEC_BASES[command], path, data.draw(WRONG_VALUES[kind]))
+    code, out, err = _run_spec(tmp_path, command, spec)
+    assert (code, out) == (2, ""), (command, path, spec)
+    assert err.startswith("error: ")

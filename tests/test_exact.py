@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwkms.errors import ZeroDivisor, ZeroPolynomial
+from cwkms.errors import InputError, ZeroDivisor, ZeroPolynomial
 from cwkms.exact import (
     AlgebraicScalar,
     NumberField,
@@ -253,3 +253,11 @@ def test_algebraic_scalar_refine_collapses_on_rational_hit():
     s = AlgebraicScalar.from_root(p, F(1, 2), F(3, 2))
     s.refine(F(1, 10**6))
     assert s.is_rational and s.rational == 1
+
+
+@pytest.mark.parametrize("eps", [0, -1, F(-1, 3), 0.0])
+def test_nonpositive_isolation_width_rejected(eps):
+    # x - 1 has only a rational root, so an unchecked width would return
+    # rather than bisect forever
+    with pytest.raises(InputError, match="must be positive"):
+        isolate_positive_roots(Poly.from_ints([-1, 1]), eps)

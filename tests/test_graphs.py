@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from cwkms.errors import DanglingEndpoint, DuplicateId, UnknownVertex
+from cwkms.buildings import presentation_from_spec
+from cwkms.complexes import build_complex
+from cwkms.errors import DanglingEndpoint, DuplicateId, InputError, UnknownVertex
 from cwkms.fixtures import FIG_B_SPEC
 from cwkms.graphs import adjacency_counts, build_graph, edge_bundle, graph_from_json, graph_to_json
+from cwkms.splicing import build_amalgam
 
 from .conftest import random_graph
 
@@ -95,3 +98,33 @@ def test_stable_order_preserved():
     g = build_graph(spec)
     assert g.vertices == ("b", "a", "c")
     assert g.edge_ids() == ("e2", "e1")
+
+
+@pytest.mark.parametrize(
+    "builder, spec",
+    [
+        ("graph", [1]),
+        ("graph", {"vertices": ["u"], "edges": [1]}),
+        ("graph", {"vertices": 5}),
+        ("graph", {"vertices": [{"u": 1}]}),
+        ("graph", {"vertices": ["u"], "edges": [{"id": ["e"], "src": "u", "dst": "u"}]}),
+        ("graph", {"vertices": ["u"], "labels": "x"}),
+        ("complex", {**FIG_B_SPEC, "faces": {"s1": ["a"]}}),
+        ("complex", {**FIG_B_SPEC, "faces": [{"id": "s1", "boundary": [["a"]]}]}),
+        ("amalgam", {"pieces": [1]}),
+        ("amalgam", {"pieces": {"p": FIG_B_SPEC}, "residues": {"r": 0}}),
+        ("amalgam", {"pieces": {"p": FIG_B_SPEC}, "attachments": [{"piece": {}, "residue": "r"}]}),
+        ("presentation", {"q": 2.0, "points": [], "lines": [], "lambda": {}, "triples": []}),
+        ("presentation", {"q": 2, "points": [None], "lines": [], "lambda": {}, "triples": []}),
+        ("presentation", {"q": 2, "points": [], "lines": [{}], "lambda": {}, "triples": []}),
+    ],
+)
+def test_spec_builders_reject_wrong_inner_types(builder, spec):
+    build = {
+        "graph": build_graph,
+        "complex": build_complex,
+        "amalgam": build_amalgam,
+        "presentation": presentation_from_spec,
+    }[builder]
+    with pytest.raises(InputError):
+        build(spec)

@@ -2,15 +2,20 @@
 identity."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.errors import GraphMismatch, NonpositiveWeight
-from cwkms.fixtures import fig_b_standard_weight
+from cwkms.exact import scalar_to_float
+from cwkms.fixtures import FIG_B_SPEC, fig_b_standard_weight
+from cwkms.graphs import build_graph
 from cwkms.pathalgebra import (
+    PathMonomial,
     Rank2Monomial,
     all_monomials,
     all_paths,
@@ -27,6 +32,7 @@ from cwkms.pathalgebra import (
 )
 from cwkms.solver import GraphWeight
 
+from .conftest import random_faithful_weight
 from .test_cw_weights import ETA0
 
 TOL = F(1, 10**10)
@@ -259,3 +265,158 @@ class TestGaugeAndConsistency:
         out = rank2_product(a, b)
         assert len(out) == 1
         assert out[0].skeleton_part.mu.edges == ("a",)
+
+
+# ---------------------------------------------------------------------------
+# kms_check against a pair-by-pair reference
+# ---------------------------------------------------------------------------
+
+def _reference_value(psi, a, b):
+    product = rank2_product if isinstance(a, Rank2Monomial) else monomial_product
+    return sum((psi.eval(m) for m in product(a, b)), 0)
+
+
+def _as_complex(v) -> complex:
+    return v if isinstance(v, complex) else complex(scalar_to_float(v))
+
+
+def reference_kms(psi, sample, tol):
+    """The identity over every pair on its own: evolve per pair, no pair
+    skipped.  Returns (passed, pairs, max discrepancy, worst pair)."""
+    t = 1j * psi.beta_sign
+    maxd, worst, count = 0.0, None, 0
+    for x, y in sample:
+        count += 1
+        lhs = _reference_value(psi, x, y)
+        rhs = _reference_value(psi, y, psi.evolve(x, t))
+        d = abs(_as_complex(lhs) - _as_complex(rhs))
+        if d > maxd:
+            maxd, worst = d, (x, y)
+    return maxd <= float(tol), count, maxd, worst
+
+
+def _fresh(m):
+    """An equal monomial built anew, so its id differs from ``m``'s."""
+    if isinstance(m, Rank2Monomial):
+        return Rank2Monomial(_fresh(m.skeleton_part), _fresh(m.boundary_part))
+    return PathMonomial(m.graph, m.mu, m.nu, m.coeff)
+
+
+KMS_CASES = [
+    "graph-float",
+    "graph-rational",
+    "graph-rational-opposite",
+    "rank2-float-mixed",
+    "rank2-field-boundary",
+    "rank2-field-mixed",
+    "rank2-field-opposite-boundary",
+    "rank2-field-opposite-mixed",
+]
+
+
+@pytest.fixture(scope="module")
+def kms_cases(figb, figb_boundary, boundary_psi, figb_psi):
+    """Functional and sample per case: float, rational and number-field
+    weights, graph and rank-2 functionals, both sign conventions.  Samples
+    repeat their x, as the sweeps do."""
+    rng = random.Random(11)
+    sk, bd = figb.skeleton, figb_boundary.graph
+    sk2, bd2 = all_monomials(sk, 2), all_monomials(bd, 2)
+    w_rat = random_faithful_weight(random.Random(7), sk)
+    w_field = solve_2dcw(figb, MODE_STANDARD)[0].weight
+    field = functional_from_rank2(figb, w_field)
+    field_opp = functional_from_rank2(figb, w_field, beta_sign=1)
+
+    def pairs(xs, n=400):
+        return [(rng.choice(xs), rng.choice(xs)) for _ in range(n)]
+
+    mixed = [Rank2Monomial(rng.choice(sk2), rng.choice(bd2)) for _ in range(60)]
+    # x x* is never zero, so the mixed samples hold non-zero pairs
+    mixed_pairs = pairs(mixed, 150) + [
+        (m, Rank2Monomial(m.skeleton_part.star(), m.boundary_part.star())) for m in mixed[:20]
+    ]
+    return {
+        "graph-float": (boundary_psi, pairs(bd2)),
+        "graph-rational": (functional_from_graph_weight(sk, w_rat), [(x, y) for x in sk2 for y in sk2]),
+        "graph-rational-opposite": (functional_from_graph_weight(sk, w_rat, beta_sign=1), pairs(sk2)),
+        "rank2-float-mixed": (figb_psi, mixed_pairs),
+        "rank2-field-boundary": (field.boundary, pairs(bd2, 200)),
+        "rank2-field-mixed": (field, mixed_pairs),
+        "rank2-field-opposite-boundary": (field_opp.boundary, pairs(bd2, 200)),
+        "rank2-field-opposite-mixed": (field_opp, mixed_pairs),
+    }
+
+
+class TestKMSSweepSemantics:
+    @pytest.mark.parametrize("case", KMS_CASES)
+    def test_matches_reference_loop(self, kms_cases, case):
+        psi, sample = kms_cases[case]
+        rep = kms_check(psi, sample, TOL)
+        passed, count, maxd, worst = reference_kms(psi, sample, TOL)
+        assert (rep.passed, rep.pairs_checked, rep.max_discrepancy) == (passed, count, maxd)
+        if worst is None:
+            assert rep.worst_pair is None
+        else:
+            assert rep.worst_pair[0] is worst[0] and rep.worst_pair[1] is worst[1]
+        assert passed == ("opposite" not in case)
+
+    @pytest.mark.parametrize("case", KMS_CASES)
+    def test_generator_of_fresh_monomials_matches_list(self, kms_cases, case):
+        psi, sample = kms_cases[case]
+        listed = kms_check(psi, sample, TOL)
+        streamed = kms_check(psi, ((_fresh(x), _fresh(y)) for x, y in sample), TOL)
+        assert streamed.to_dict() == listed.to_dict()
+        assert streamed.pairs_checked == len(sample)
+
+    @pytest.mark.parametrize("case", KMS_CASES)
+    def test_evolve_runs_once_per_distinct_x(self, kms_cases, case, monkeypatch):
+        psi, sample = kms_cases[case]
+        calls = Counter()
+        evolve = psi.evolve
+
+        def counting(m, t):
+            calls[id(m)] += 1
+            return evolve(m, t)
+
+        monkeypatch.setattr(psi, "evolve", counting)
+        kms_check(psi, sample, TOL)
+        distinct = {id(x) for x, _ in sample}
+        assert len(distinct) < len(sample)
+        assert calls == Counter(dict.fromkeys(distinct, 1))
+
+    @pytest.mark.parametrize("bad", [F(0), F(-1)])
+    def test_nonpositive_lambda_raises_from_a_zero_pair(self, figb, bad):
+        sk = figb.skeleton
+        w = random_faithful_weight(random.Random(3), sk)
+        w.lam["b"] = bad  # b: x -> y
+        psi = functional_from_graph_weight(sk, w)
+        sb, pz = edge_isometry(sk, "b"), vertex_projection(sk, "z")
+        assert monomial_product(sb, pz) == [] and monomial_product(pz, sb) == []
+        sa = edge_isometry(sk, "a")
+        good = [(vertex_projection(sk, "u"), vertex_projection(sk, "u")), (sa, sa.star())]
+        assert kms_check(psi, good, TOL).pairs_checked == 2
+        with pytest.raises(NonpositiveWeight):
+            kms_check(psi, good + [(sb, pz)], TOL)
+
+    def test_equal_distinct_graphs_accepted(self, figb):
+        g1, g2 = build_graph(FIG_B_SPEC), build_graph(FIG_B_SPEC)
+        assert g1 == g2 and g1 is not g2
+        psi = functional_from_graph_weight(g1, random_faithful_weight(random.Random(5), g1))
+        m1, m2 = all_monomials(g1, 2), all_monomials(g2, 2)
+        own = kms_check(psi, [(x, y) for x in m1 for y in m1], TOL)
+        across = kms_check(psi, [(x, y) for x in m2 for y in m1], TOL)
+        assert across.to_dict() == own.to_dict()
+        assert own.passed and own.pairs_checked == len(m1) ** 2
+
+    def test_different_graphs_rejected(self, figb):
+        g1 = build_graph(FIG_B_SPEC)
+        spec = {**FIG_B_SPEC, "edges": FIG_B_SPEC["edges"] + [{"id": "g", "src": "z", "dst": "u"}]}
+        g3 = build_graph(spec)
+        psi = functional_from_graph_weight(g1, random_faithful_weight(random.Random(5), g1))
+        p1, p3 = vertex_projection(g1, "u"), vertex_projection(g3, "u")
+        with pytest.raises(GraphMismatch):
+            kms_check(psi, [(p1, p3)], TOL)
+        with pytest.raises(GraphMismatch):
+            kms_check(psi, [(p3, p3)], TOL)
+        with pytest.raises(GraphMismatch):
+            psi.eval(p3)

@@ -246,3 +246,75 @@ class TestCWSplice:
                 assert fval == pytest.approx(eta0 / 2)
             else:
                 assert fval == pytest.approx(eta0)
+
+
+def _glued_amalgam_spec(form: str, k: int) -> dict:
+    """k figB pieces glued along v -> u by the edge d.  Every residue names
+    the shared elements differently, so the smallest residue id decides."""
+    names = [f"p{i:02d}" for i in range(k)]
+
+    def residue(i):
+        vs = [f"w{(k - 1 - i):02d}", f"t{i:02d}"]
+        return {"vertices": vs, "edges": [{"id": f"d{(7 * i) % k:02d}", "src": vs[0], "dst": vs[1]}]}
+
+    def attach(piece, i):
+        r = residue(i)
+        return {
+            "piece": piece,
+            "residue": f"r{i}",
+            "vertex_map": {r["vertices"][0]: "v", r["vertices"][1]: "u"},
+            "edge_map": {r["edges"][0]["id"]: "d"},
+        }
+
+    if form == "star":
+        residues = {"r0": residue(0)}
+        attachments = [attach(p, 0) for p in names]
+    else:
+        residues = {f"r{i}": residue(i) for i in range(k - 1)}
+        attachments = [attach(p, i) for i in range(k - 1) for p in (names[i], names[i + 1])]
+    return {"pieces": {p: FIG_B_SPEC for p in names}, "residues": residues, "attachments": attachments}
+
+
+def _reference_names(spec: dict, kind: str) -> dict:
+    """The naming rule, class by class: the smallest residue id among the
+    elements glued together, else "<piece>:<id>"."""
+    map_key = "vertex_map" if kind == "v" else "edge_map"
+    links: dict = {}
+    for att in spec["attachments"]:
+        for sid, tid in att[map_key].items():
+            a, b = ("piece", att["piece"], tid), ("res", att["residue"], sid)
+            links.setdefault(a, set()).add(b)
+            links.setdefault(b, set()).add(a)
+    names = {}
+    for pname, cspec in spec["pieces"].items():
+        ids = cspec["vertices"] if kind == "v" else [e["id"] for e in cspec["edges"]]
+        for eid in ids:
+            seen, todo = set(), [("piece", pname, eid)]
+            while todo:
+                t = todo.pop()
+                if t not in seen:
+                    seen.add(t)
+                    todo.extend(links.get(t, ()))
+            res_ids = [t[2] for t in seen if t[0] == "res"]
+            names[(pname, eid)] = min(res_ids) if res_ids else f"{pname}:{eid}"
+    return names
+
+
+@pytest.mark.parametrize("form", ["star", "chain"])
+def test_amalgam_names_follow_the_smallest_residue_rule(form):
+    spec = _glued_amalgam_spec(form, 16)
+    am = build_amalgam(spec)
+    assert am.vertex_names == _reference_names(spec, "v")
+    assert am.edge_names == _reference_names(spec, "e")
+    shared = {am.vertex_names[(p, "v")] for p in spec["pieces"]}
+    assert shared == {"w15" if form == "star" else "w01"}
+    assert len(am.foundation.skeleton.vertices) == 16 * 3 + 2
+
+
+def test_string_and_integer_residue_ids_in_one_class_rejected():
+    spec = fig_b_double_amalgam_spec()
+    spec["residues"]["r2"] = {"vertices": [1, 2], "edges": [{"id": 3, "src": 1, "dst": 2}]}
+    spec["attachments"][1] = {"piece": "p2", "residue": "r2", "vertex_map": {1: "v", 2: "u"}, "edge_map": {3: "d"}}
+    spec["attachments"].append({**spec["attachments"][1], "piece": "p1"})
+    with pytest.raises(IncompatibleAttachment, match="name one element"):
+        build_amalgam(spec)
