@@ -7,7 +7,9 @@ are exact and deterministic.  Floating point enters only through the
 
 The root machinery follows the classical exact recipe: square-free reduction
 by gcd, Sturm sequences for root counting, and interval bisection for
-isolation and refinement.
+isolation and refinement.  A number-field sign is decided by an integer
+interval enclosure first, by a gcd with the modulus only when the enclosure
+contains 0, and then by refining the root's interval.
 
 Determinants of polynomial matrices with integer coefficients (every
 det(lambda*A - I) the solver builds) are computed by evaluation and
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
@@ -39,6 +41,14 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)  # exact: floats are dyadic rationals
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _positive_width(eps) -> Fraction:
+    # no interval around an irrational root ever reaches width 0
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise InputError(f"root isolation width must be positive, got {eps}")
+    return eps
 
 
 class Poly:
@@ -154,17 +164,23 @@ class Poly:
         return acc
 
     def interval_eval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact interval-arithmetic enclosure of self over [lo, hi]."""
-        vlo = vhi = Fraction(0)
-        first = True
-        for c in reversed(self.coeffs):
-            if first:
-                vlo = vhi = Fraction(c)
-                first = False
-                continue
-            cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-            vlo, vhi = min(cands) + c, max(cands) + c
-        return vlo, vhi
+        """Exact interval-arithmetic enclosure of self over [lo, hi].
+
+        Horner in integers: coefficients over a common denominator, lo and hi
+        over d, so after k steps both bounds are integers over den * d**k."""
+        if not self.coeffs:
+            return Fraction(0), Fraction(0)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in reversed(self.coeffs)]
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        vlo = vhi = nums[0]
+        scale = 1
+        for n in nums[1:]:
+            scale *= d
+            cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+            vlo, vhi = min(cands) + n * scale, max(cands) + n * scale
+        return Fraction(vlo, den * scale), Fraction(vhi, den * scale)
 
     def primitive(self) -> "Poly":
         """Integer-primitive form with positive leading coefficient.
@@ -359,10 +375,10 @@ class AlgebraicScalar:
         return self.hi - self.lo
 
     def refine(self, eps) -> "AlgebraicScalar":
-        """Narrow the isolating interval below ``eps`` (no-op for rationals)."""
+        """Narrow the isolating interval below ``eps`` > 0 (no-op for rationals)."""
+        eps = _positive_width(eps)
         if self.is_rational:
             return self
-        eps = _as_fraction(eps)
         slo, shi = self.poly.sign_at(self.lo), self.poly.sign_at(self.hi)
         lo, hi = self.lo, self.hi
         while hi - lo > eps:
@@ -442,9 +458,7 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
     bisection.  ``eps`` must be positive: no interval around an irrational
     root reaches width 0.
     """
-    eps = _as_fraction(eps)
-    if eps <= 0:
-        raise InputError(f"root isolation width must be positive, got {eps}")
+    eps = _positive_width(eps)
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
 
@@ -647,33 +661,38 @@ class FieldElement:
         return self.rep.is_zero()
 
     def sign(self) -> int:
-        """Exact sign of the element under the designated real embedding."""
+        """Exact sign of the element under the designated real embedding:
+        by its integer interval enclosure first, by a gcd with the modulus
+        once the enclosure contains 0, then by refining the interval."""
         if self.rep.is_zero():
             return 0
         root = self.field.root
-        if root.is_rational:
-            v = self.rep(root.rational)
-            return (v > 0) - (v < 0)
-        # The representative could vanish at the root even though it is not
-        # the zero element (possible when the modulus is reducible).  The
-        # interval endpoints are never roots of the modulus, hence not of g.
-        g = self.rep.gcd(self.field.modulus)
-        if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
-            return 0
+        gcd_checked = False
         while True:
+            if root.is_rational:
+                v = self.rep(root.rational)
+                return (v > 0) - (v < 0)
             vlo, vhi = self.rep.interval_eval(root.lo, root.hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
+            if not gcd_checked:
+                # A nonzero representative can vanish at the root of a
+                # reducible modulus; its enclosure then contains 0.  The
+                # interval endpoints are never roots of the modulus or of g.
+                g = self.rep.gcd(self.field.modulus)
+                if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
+                    return 0
+                gcd_checked = True
             root.refine(root.width() / 4)
 
     def to_float(self, eps: float = 1e-14) -> float:
         root = self.field.root
-        if root.is_rational:
-            return float(self.rep(root.rational))
-        target = _as_fraction(eps)
+        target = _positive_width(eps)
         while True:
+            if root.is_rational:
+                return float(self.rep(root.rational))
             vlo, vhi = self.rep.interval_eval(root.lo, root.hi)
             if vhi - vlo <= target:
                 return float((vlo + vhi) / 2)

@@ -16,6 +16,7 @@ from cwkms.exact import (
     det_exact,
     isolate_positive_roots,
     kernel_basis_exact,
+    scalar_to_float,
     sturm_sequence,
 )
 
@@ -47,6 +48,45 @@ def test_poly_product_evaluates_pointwise(c1, c2, num, den):
     x = F(num, den)
     assert (p * q)(x) == p(x) * q(x)
     assert (p + q)(x) == p(x) + q(x)
+
+
+def _fraction_horner_enclosure(p, lo, hi):
+    """Reference: interval Horner in Fraction arithmetic, step by step."""
+    vlo = vhi = F(0)
+    for k, c in enumerate(reversed(p.coeffs)):
+        if k == 0:
+            vlo = vhi = F(c)
+            continue
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+exact_coeffs = st.lists(
+    st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+        st.just(0),
+    ),
+    max_size=8,
+)
+interval_ends = st.fractions(min_value=-50, max_value=50, max_denominator=2**40)
+
+
+@given(exact_coeffs, interval_ends, interval_ends, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_integer_enclosure_is_the_fraction_enclosure(coeffs, a, b, zero_width):
+    p = Poly(coeffs)
+    lo, hi = (a, a) if zero_width else (min(a, b), max(a, b))
+    got = p.interval_eval(lo, hi)
+    assert got == _fraction_horner_enclosure(p, lo, hi)
+    assert all(type(v) is F for v in got)
+    assert got[0] <= p(lo) <= got[1] and got[0] <= p(hi) <= got[1]
+
+
+def test_enclosure_of_zero_polynomial():
+    assert Poly([]).interval_eval(F(-3, 2), F(7, 5)) == (F(0), F(0))
+    assert Poly([0, F(0)]).interval_eval(F(1), F(1)) == (F(0), F(0))
 
 
 def test_sturm_counts_quadratic():
@@ -150,6 +190,42 @@ class TestNumberField:
         bad = x * x * 2 - 1  # vanishing factor
         with pytest.raises((ZeroDivisor, ZeroDivisionError)):
             k.one() / bad
+
+
+    def reducible_ring(self):
+        # (2x^2 - 1)(2x^2 + x + 1): the designated root is 1/sqrt(2)
+        m = Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 2])
+        return isolate_positive_roots(m, F(1, 10**6))[0].number_field()
+
+    def test_sign_of_representative_vanishing_at_root(self):
+        k = self.reducible_ring()
+        x = k.gen()
+        assert (x * x * 2 - 1).sign() == 0
+        assert (1 - x * x * 2).sign() == 0
+        assert (x * x * 2 + x + 1).sign() == 1
+
+    def test_decisive_signs_need_no_gcd(self, monkeypatch):
+        k = self.field()
+        x = k.gen()
+
+        def no_gcd(self, other):
+            raise AssertionError("a decisive enclosure must not reach Poly.gcd")
+
+        monkeypatch.setattr(Poly, "gcd", no_gcd)
+        assert (x - 1).sign() == -1
+        assert (x * 5 - 4).sign() == 1
+        assert (x * x - F(1, 2)).sign() == 1
+
+    def test_sign_and_float_after_root_collapses_to_rational(self):
+        # the first bisection of (1/2, 3/2) lands on the root 1 of x^2 - 1
+        def ring():
+            root = AlgebraicScalar.from_root(Poly.from_ints([-1, 0, 1]), F(1, 2), F(3, 2))
+            return NumberField(root.poly, root)
+
+        x = ring().gen()
+        assert (x - F(9, 8)).sign() == -1
+        assert x.field.root.is_rational
+        assert (ring().gen() * 2).to_float() == 2.0
 
 
 class TestDeterminants:
@@ -261,3 +337,17 @@ def test_nonpositive_isolation_width_rejected(eps):
     # rather than bisect forever
     with pytest.raises(InputError, match="must be positive"):
         isolate_positive_roots(Poly.from_ints([-1, 1]), eps)
+
+
+def test_nonpositive_refinement_width_rejected():
+    root = isolate_positive_roots(Poly.from_ints([-2, 0, 1]), F(1, 10**6))[0]  # sqrt(2)
+    for call in (
+        lambda: root.refine(0),
+        lambda: root.refine(-1),
+        lambda: root.to_float(0),
+        lambda: scalar_to_float(root, 0),
+        lambda: root.number_field().gen().to_float(0),
+    ):
+        with pytest.raises(InputError, match="must be positive"):
+            call()
+    assert abs(root.to_float() - 2**0.5) < 1e-15
