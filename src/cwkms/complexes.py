@@ -42,12 +42,6 @@ class Oriented2Complex:
                 return f
         raise KeyError(fid)
 
-    def face_ids(self) -> tuple[str, ...]:
-        return tuple(f.id for f in self.faces)
-
-    def is_triangular(self) -> bool:
-        return all(len(f.boundary) == 3 for f in self.faces)
-
 
 @dataclass(frozen=True)
 class LabeledBoundaryGraph:

@@ -375,7 +375,12 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     """Scale the boundary solution lam0 onto the skeleton: C*lam0 satisfies
     the skeleton weight equation for a positive g exactly at the positive
     roots C of the scale determinant with a positive kernel there.  Returns
-    the determinant and one (root, C*lam0, g) per such root."""
+    the determinant and one (root, C*lam0, g) per such root.
+
+    A determinant that does not vanish identically leaves no sinks, so the
+    matrix is C*L - I with L >= 0 the lam0-weighted adjacency, and by
+    Perron-Frobenius only its smallest positive root C = 1/rho(L) can have
+    a positive kernel vector."""
     det = scale_determinant(sk, lam0)
     if det.is_zero():
         scale_roots: list = []
@@ -384,7 +389,7 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     else:
         scale_roots = _poly_positive_roots_numeric(det)
     solutions = []
-    for root in scale_roots:
+    for root in scale_roots[:1]:
         cval = _eta_scalar(root, lam0.values()) if isinstance(root, AlgebraicScalar) else root
         lam_scaled = {eid: _mixed_mul(cval, lam0[eid]) for eid in lam0}
         kr = positive_kernel(_skeleton_matrix_at(sk, lam_scaled))
@@ -570,15 +575,15 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
     eta values; at each positive root the follower and predecessor systems
     are solved jointly for lam, positivity is required, and the skeleton
     equation then classifies the lam scale through a second determinant.
+    A positive common kernel vector is a positive kernel vector of the
+    follower system, so only its faithful families are candidates.
     """
     _require_triangular(c)
     bg = boundary_graph(c)
     pg = predecessor_graph(c)
     report = solve_special_weights(bg.graph, eps)
-    if report.status != "ok":
-        return []
     families: list[TriangularFamily] = []
-    for fam in report.families:
+    for fam in report.faithful_families():
         eta = fam.eta
         rows_a = evaluate_special_matrix(bg.graph, eta)
         rows_b = evaluate_special_matrix(pg.graph, eta)

@@ -157,12 +157,6 @@ class Poly:
             return x * 0
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def interval_eval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval-arithmetic enclosure of self over [lo, hi].
 
@@ -308,37 +302,6 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     return Fraction(1) + m / lead
 
 
-def _positive_rational_roots(p: Poly, limit: int = 10**6) -> list[Fraction]:
-    """Positive rational roots of an integer-primitive polynomial, found by
-    the rational root test.  Skipped (returns []) when the constant or
-    leading coefficient is too large to factor cheaply."""
-    a0 = int(p.coeffs[0])
-    an = int(p.coeffs[-1])
-    if a0 == 0:
-        raise ValueError("strip zero roots before calling")
-    if abs(a0) > limit or abs(an) > limit:
-        return []
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    roots = []
-    for num in divisors(a0):
-        for den in divisors(an):
-            r = Fraction(num, den)
-            if p(r) == 0 and r not in roots:
-                roots.append(r)
-    return sorted(roots)
-
-
 @dataclass
 class AlgebraicScalar:
     """A real number, either exactly rational or a designated real root of an
@@ -406,14 +369,6 @@ class AlgebraicScalar:
     def __float__(self) -> float:
         return self.to_float()
 
-    def as_fraction(self, eps=Fraction(1, 10**15)) -> Fraction:
-        """Exact value if rational, else the interval midpoint after
-        refinement to ``eps``."""
-        if self.is_rational:
-            return self.rational
-        self.refine(eps)
-        return (self.lo + self.hi) / 2
-
     def equals_rational(self, r) -> bool:
         r = _as_fraction(r)
         if self.is_rational:
@@ -449,14 +404,38 @@ def _split_point(sf: Poly, a: Fraction, b: Fraction) -> Fraction:
         k += 1
 
 
-def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
-    """All real roots > 0 of ``p``, each isolated to interval width <= eps.
+def _isolating_intervals(sf: Poly) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint open intervals, in increasing order, each holding exactly one
+    positive root of the square-free ``sf``; no endpoint is a root, so ``sf``
+    changes sign across each interval."""
+    seq = sturm_sequence(sf)
+    bound = cauchy_root_bound(sf)
+    while sf(bound) == 0:
+        bound += 1
+    stack = [(Fraction(0), bound, count_roots(sf, Fraction(0), bound, seq))]
+    isolated: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        a, b, n = stack.pop()
+        if n == 1:
+            isolated.append((a, b))
+        elif n > 1:
+            mid = _split_point(sf, a, b)
+            nl = count_roots(sf, a, mid, seq)
+            stack.append((a, mid, nl))
+            stack.append((mid, b, n - nl))
+    return sorted(isolated)
 
-    The count is exact: the polynomial is reduced to its square-free part,
-    positive rational roots are split off exactly when coefficient sizes
-    permit, and the remaining roots are isolated with Sturm counts plus
-    bisection.  ``eps`` must be positive: no interval around an irrational
-    root reaches width 0.
+
+def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
+    """All real roots > 0 of ``p`` in increasing order, each isolated to
+    interval width <= eps > 0.
+
+    The roots of the primitive square-free part are isolated with Sturm
+    counts plus bisection.  A rational root has a denominator dividing the
+    leading coefficient a_n, and such fractions lie at least 1/a_n**2 apart,
+    so it is the closest fraction with denominator <= a_n to the midpoint of
+    its interval refined below width 1/(2 a_n**2).  The irrational roots
+    are roots of the quotient by the rational ones.
     """
     eps = _positive_width(eps)
     if p.is_zero():
@@ -471,51 +450,24 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
         return []
 
     sf = work.squarefree_part().primitive()
-    results: list[AlgebraicScalar] = []
-    for r in _positive_rational_roots(sf):
-        results.append(AlgebraicScalar.from_rational(r))
-        sf = sf.exact_div(Poly([-r, Fraction(1)]))
-    sf = sf.primitive()
-
-    if sf.degree >= 1:
-        seq = sturm_sequence(sf)
-        lo = Fraction(0)
-        bound = cauchy_root_bound(sf)
-        while sf(bound) == 0:
-            bound += 1
-        stack = [(lo, bound, count_roots(sf, lo, bound, seq))]
-        isolated: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            a, b, n = stack.pop()
-            if n == 0:
-                continue
-            if n == 1:
-                isolated.append((a, b))
-                continue
-            mid = _split_point(sf, a, b)
-            nl = count_roots(sf, a, mid, seq)
-            stack.append((a, mid, nl))
-            stack.append((mid, b, n - nl))
-        for a, b in isolated:
-            # shrink until a sign change is visible at the endpoints, then
-            # hand off to interval bisection
-            found_rational = None
-            while sf.sign_at(a) * sf.sign_at(b) >= 0:
-                mid = (a + b) / 2
-                if sf(mid) == 0:
-                    found_rational = mid  # rational root missed by the divisor test
-                    break
-                if count_roots(sf, a, mid, seq) == 1:
-                    b = mid
-                else:
-                    a = mid
-            if found_rational is not None:
-                results.append(AlgebraicScalar.from_rational(found_rational))
-            else:
-                results.append(AlgebraicScalar.from_root(sf, a, b).refine(eps))
-
-    results.sort(key=lambda s: s.as_fraction(Fraction(1, 10**6)))
-    return results
+    lead = int(sf.coeffs[-1])
+    intervals = _isolating_intervals(sf)
+    found: list[Fraction | None] = []
+    for a, b in intervals:
+        probe = AlgebraicScalar.from_root(sf, a, b).refine(Fraction(1, 2 * lead * lead))
+        r = probe.rational if probe.is_rational else ((probe.lo + probe.hi) / 2).limit_denominator(lead)
+        # (a, b) holds exactly one root of sf; the candidate may be another one
+        found.append(r if a < r < b and sf(r) == 0 else None)
+    rest = sf
+    rationals = [r for r in found if r is not None]
+    if rationals:
+        for r in rationals:
+            rest = rest.exact_div(Poly([-r, Fraction(1)]))
+        rest = rest.primitive()
+        intervals = _isolating_intervals(rest)
+    # the irrational roots keep their increasing order in both isolations
+    irrational = iter(AlgebraicScalar.from_root(rest, a, b).refine(eps) for a, b in intervals)
+    return [AlgebraicScalar.from_rational(r) if r is not None else next(irrational) for r in found]
 
 
 # ---------------------------------------------------------------------------

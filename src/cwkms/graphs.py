@@ -77,9 +77,6 @@ class DirectedGraph:
     def is_sink(self, v: str) -> bool:
         return not self._out[v]
 
-    def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.is_sink(v))
-
     def non_sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.is_sink(v))
 

@@ -11,19 +11,29 @@ reduces to a one-parameter determinant: build the matrix
 
 acting on vertex vectors (m_ij = edge multiplicities, identity block only on
 non-sink rows), take its exact determinant as a polynomial in lambda, isolate
-the positive roots, and extract a strictly positive kernel vector at each
-root.  All of this is exact; floats appear only in reports and in the SVD
-fallback for numeric matrices.
+the positive roots in increasing order, and decide at each root whether the
+kernel holds a strictly positive vector.
+
+A sink makes the determinant vanish identically, so otherwise M is
+lambda*A - I with A >= 0 and a positive kernel vector is a positive
+eigenvector of A for 1/lambda.  By Perron-Frobenius (Collatz-Wielandt) only
+lambda = 1/rho(A), the smallest positive root, can have one; every other
+root is "none".  There ``positive_kernel`` decides exactly, by signs for a
+kernel line and by an exact simplex in dimension >= 2.  Kernel bases are
+exact and lazy; floats appear only in reports and in the SVD fallback for
+numeric matrices, whose bases of dimension >= 2 are "undetermined".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
-from .errors import InputError, MissingValue, ZeroDivisor, ZeroPolynomial
+from .errors import InputError, MissingValue, ZeroDivisor
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -214,8 +224,6 @@ def det_polynomial(m: BoundaryMatrix) -> Poly:
 
 
 def positive_roots(p: Poly, eps=DEFAULT_EPS) -> list[AlgebraicScalar]:
-    if p.is_zero():
-        raise ZeroPolynomial("determinant polynomial is identically zero")
     return isolate_positive_roots(p, eps)
 
 
@@ -225,10 +233,28 @@ def positive_roots(p: Poly, eps=DEFAULT_EPS) -> list[AlgebraicScalar]:
 
 @dataclass
 class KernelResult:
-    status: str  # "positive" | "none" | "empty" | "undetermined"
+    """Kernel of a scalar matrix: the positivity status, the strictly
+    positive kernel vector when there is one, and a kernel basis computed
+    from ``rows`` on first access."""
+
+    status: str  # "positive" | "none" | "undetermined"
     positive: list | None
-    basis: list[list]
-    dim: int
+    rows: list[list] = field(repr=False)
+
+    @cached_property
+    def basis(self) -> list[list]:
+        """Exact basis; numeric for float matrices, and when exact
+        elimination meets a zero divisor of a reducible modulus."""
+        if not _is_float_matrix(self.rows):
+            try:
+                return kernel_basis_exact(self.rows)
+            except ZeroDivisor:
+                pass
+        return _kernel_basis_svd(self.rows)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     def positive_floats(self) -> list[float] | None:
         if self.positive is None:
@@ -263,40 +289,33 @@ def _normalize_sup(vec):
     return vec
 
 
-def positive_kernel(rows, tol: float = POSITIVITY_THRESHOLD) -> KernelResult:
-    """Kernel basis of a square scalar matrix plus a strictly positive kernel
-    vector when one exists.
+def positive_kernel(rows) -> KernelResult:
+    """Kernel basis of a square (or stacked) scalar matrix plus a strictly
+    positive kernel vector when one exists.
 
     Exact matrices (Fractions, number-field elements) get an exact basis and
-    exact sign decisions; float matrices go through an SVD.  When the kernel
-    has dimension > 1, a small linear program searches the basis span for a
-    vector with maximal smallest component; an optimum within ``tol`` of zero
-    is reported as "undetermined".
+    exact decisions: a one-dimensional kernel by the signs of its basis
+    vector, a larger one by an exact simplex (``_positive_in_span``).  A
+    numeric basis (float input, or a zero divisor met in exact elimination)
+    keeps the sign test beyond ``POSITIVITY_THRESHOLD`` in dimension 1 and
+    is "undetermined" in higher dimension, the only source of that status.
     """
-    n = len(rows)
-    if n == 0:
-        return KernelResult("none", None, [], 0)
-    if _is_float_matrix(rows):
-        basis = _kernel_basis_svd(rows)
-    else:
-        try:
-            basis = kernel_basis_exact(rows)
-        except ZeroDivisor:
-            # reducible quotient ring: exact elimination can hit a zero
-            # divisor, so fall back to the numeric kernel
-            basis = _kernel_basis_svd(rows)
-    dim = len(basis)
-    if dim == 0:
-        return KernelResult("none", None, [], 0)
-    if dim == 1:
-        vec = basis[0]
-        signs = {scalar_sign(x) if not isinstance(x, float) else _float_sign(x, tol) for x in vec}
+    kernel = KernelResult("none", None, rows)
+    basis = kernel.basis
+    vec = None
+    if len(basis) == 1:
+        signs = {_sign(x) for x in basis[0]}
         if signs == {1}:
-            return KernelResult("positive", _normalize_sup(vec), basis, 1)
-        if signs == {-1}:
-            return KernelResult("positive", _normalize_sup([-x for x in vec]), basis, 1)
-        return KernelResult("none", None, basis, 1)
-    return _positive_by_lp(basis, tol)
+            vec = basis[0]
+        elif signs == {-1}:
+            vec = [-x for x in basis[0]]
+    elif basis and _is_float_matrix(basis):
+        kernel.status = "undetermined"
+    elif basis:
+        vec = _positive_in_span(basis)
+    if vec is not None:
+        kernel.status, kernel.positive = "positive", _normalize_sup(vec)
+    return kernel
 
 
 def _kernel_basis_svd(rows) -> list[list[float]]:
@@ -310,43 +329,74 @@ def _kernel_basis_svd(rows) -> list[list[float]]:
     return [[float(v) for v in vt[i]] for i in range(ncols) if svals[i] <= cutoff]
 
 
-def _float_sign(x: float, tol: float) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
+def _sign(x) -> int:
+    """Exact sign; a float counts as 0 within ``POSITIVITY_THRESHOLD``."""
+    if isinstance(x, float):
+        return (x > POSITIVITY_THRESHOLD) - (x < -POSITIVITY_THRESHOLD)
+    return scalar_sign(x)
 
 
-def _positive_by_lp(basis, tol: float) -> KernelResult:
-    """max-min-component linear program over the kernel span."""
-    from scipy.optimize import linprog
+def _positive_in_span(basis: list[list]) -> list | None:
+    """A strictly positive vector in the span of an exact basis, or None.
 
-    bmat = np.array([[scalar_to_float(x) for x in vec] for vec in basis], dtype=float).T
-    n, k = bmat.shape
-    # variables: k combination coefficients plus the slack t; maximize t
-    # subject to (B c)_i >= t and |(B c)_i| <= 1.
-    a_ub = np.vstack(
-        [
-            np.hstack([-bmat, np.ones((n, 1))]),
-            np.hstack([bmat, np.zeros((n, 1))]),
-            np.hstack([-bmat, np.zeros((n, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(n), np.ones(n), np.ones(n)])
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (k + 1), method="highs")
-    if not res.success:
-        return KernelResult("undetermined", None, basis, len(basis))
-    t = res.x[-1]
-    if t > tol:
-        vec = list(bmat @ res.x[:-1])
-        m = max(abs(v) for v in vec)
-        return KernelResult("positive", [v / m for v in vec], basis, len(basis))
-    if t < -tol:
-        return KernelResult("none", None, basis, len(basis))
-    return KernelResult("undetermined", None, basis, len(basis))
+    Gordan's alternative: with B the matrix whose columns are the k basis
+    vectors, some B c is > 0 iff no y >= 0 with sum(y) = 1 has B^T y = 0.
+    Phase 1 of the simplex method minimises the sum of the artificial
+    variables a in B^T y + a[:k] = 0, sum(y) + a[k] = 1, y, a >= 0.  A
+    positive optimum t means infeasibility, and then the simplex multipliers
+    (pi, t) satisfy B pi + t <= 0, so c = -pi gives B c >= t > 0.
+
+    Bland's rule prevents cycling.  Pivots use ring operations and signs
+    only, so a reducible modulus never raises ``ZeroDivisor``: every tableau
+    row is known up to a positive factor, is replaced by p*row - q*pivot_row,
+    and is divided by the positive rational content of its entries.  Row
+    ``k + 1`` holds the reduced costs; its column ``n + k + 1`` is the
+    constant cost 1, so it carries that row's positive factor.
+    """
+    n, k = len(basis[0]), len(basis)
+    m = k + 1
+    zero = basis[0][0] * 0
+    one = zero + 1
+    # columns: y (n), artificials (m), the cost row's factor, right-hand side
+    unit = [[one if j == i else zero for j in range(m)] for i in range(m)]
+    rows = [list(vec) + unit[i] + [zero, zero] for i, vec in enumerate(basis)]
+    rows.append([one] * n + unit[k] + [zero, one])
+    rows.append([-sum(r[j] for r in rows) for j in range(n)] + [zero] * m + [one, -one])
+    basic = list(range(n, n + m))
+    while True:
+        s = next((j for j in range(n) if scalar_sign(rows[m][j]) < 0), None)
+        if s is None:
+            break
+        # phase 1 is bounded below, so some entry of column s is > 0
+        candidates = [i for i in range(m) if scalar_sign(rows[i][s]) > 0]
+        r = candidates[0]
+        for i in candidates[1:]:
+            # ratio test rhs_i / a_is < rhs_r / a_rs, ties to the smaller basic index
+            d = scalar_sign(rows[i][-1] * rows[r][s] - rows[r][-1] * rows[i][s])
+            if d < 0 or (d == 0 and basic[i] < basic[r]):
+                r = i
+        pivot, p = rows[r], rows[r][s]
+        for i, row in enumerate(rows):
+            if i != r and scalar_sign(row[s]) != 0:
+                rows[i] = _divide_content([p * a - row[s] * b for a, b in zip(row, pivot)])
+        basic[r] = s
+    cost = rows[m]
+    if scalar_sign(cost[-1]) == 0:
+        return None
+    # cost[n + j] = f * (1 - pi_j) and cost[n + m] = f for the row's factor f > 0
+    c = [cost[n + j] - cost[n + m] for j in range(k)]
+    return [sum(c[j] * basis[j][i] for j in range(k)) for i in range(n)]
+
+
+def _divide_content(row: list) -> list:
+    """The row divided by the positive rational content of its entries'
+    rational coefficients."""
+    coeffs = [c for x in row for c in (x.rep.coeffs if isinstance(x, FieldElement) else (x,))]
+    num = gcd(*(c.numerator for c in coeffs))
+    if num == 0:
+        return row
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)), num)
+    return [x * scale for x in row]
 
 
 def evaluate_special_matrix(graph: DirectedGraph, value) -> list[list]:
@@ -406,7 +456,8 @@ def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeigh
     """Classify constant-edge-weight solutions of the weight equation.
 
     Pipeline: boundary matrix in special mode, exact determinant, positive
-    roots, positive kernel at each root.  A graph with no non-sink vertices
+    roots, positive kernel at the smallest root; the other roots are "none"
+    by Perron-Frobenius (module docstring).  A graph with no non-sink vertices
     imposes no equations at all ("unconstrained"); a determinant that
     vanishes identically (possible when sinks are present) is reported as
     "degenerate" since roots no longer classify anything.
@@ -418,9 +469,9 @@ def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeigh
     if det.is_zero():
         return SpecialWeightReport("degenerate", graph.vertices, det, [])
     families = []
-    for root in positive_roots(det, eps):
+    for k, root in enumerate(positive_roots(det, eps)):
         rows = evaluate_special_matrix(graph, root)
-        kr = positive_kernel(rows)
+        kr = positive_kernel(rows) if k == 0 else KernelResult("none", None, rows)
         families.append(SpecialWeightFamily(eta=root, kernel=kr, faithful=kr.status == "positive"))
     return SpecialWeightReport("ok", graph.vertices, det, families)
 

@@ -105,6 +105,14 @@ class TestSectorGraphs:
             rep = verify_graph_weight(g, w, 0)
             assert rep.passed and rep.exact
 
+    def test_positive_only_at_the_perron_root(self, gamma_sector_graphs):
+        # 4-out-regular and strongly connected, so rho = 4: 1/2 and 1/sqrt(2)
+        # have two-dimensional kernels without a positive vector
+        for g in gamma_sector_graphs:
+            rep = solve_special_weights(g)
+            got = [(round(f.eta.to_float(), 12), f.kernel.status) for f in rep.families]
+            assert got == [(0.25, "positive"), (0.5, "none"), (round(2 ** -0.5, 12), "none")]
+
     def test_rule_reports_ambiguity(self, gamma_presentation):
         class BrokenRule(TripleJoinSectorRule):
             def plus_targets(self, tp, a, b):

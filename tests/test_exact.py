@@ -142,6 +142,48 @@ class TestIsolation:
         roots = isolate_positive_roots(Poly.from_ints([0, 0, -1, 1]), EPS)  # x^2(x-1)
         assert len(roots) == 1 and roots[0].equals_rational(1)
 
+    def test_rational_roots_with_large_coefficients(self):
+        # (3^13 x - 1)(x^2 - 2)(5x - 7): both rational roots are found, and
+        # sqrt(2) is a root of the quotient x^2 - 2 alone
+        p = Poly.from_ints([-1, 3**13]) * Poly.from_ints([-2, 0, 1]) * Poly.from_ints([-7, 5])
+        small, seven_fifths, sqrt2 = isolate_positive_roots(p, EPS)
+        assert small.rational == F(1, 3**13) and seven_fifths.rational == F(7, 5)
+        assert not sqrt2.is_rational and sqrt2.poly == Poly.from_ints([-2, 0, 1])
+
+    def test_rational_candidate_outside_the_interval(self):
+        # near 2^(-1/3) the closest fraction with denominator <= 2 is 1, which
+        # is a root of (x - 1)(2x^3 - 1) but not the one in that interval
+        p = Poly.from_ints([-1, 1]) * Poly.from_ints([-1, 0, 0, 2])
+        cube, one = isolate_positive_roots(p, EPS)
+        assert not cube.is_rational and cube.poly == Poly.from_ints([-1, 0, 0, 2])
+        assert one.rational == 1
+
+    def test_exact_order_of_close_roots(self):
+        # a rational root 6.3e-10 above sqrt(2), and one 3.7e-10 below it
+        for r, expected in ((F(1414213563, 10**9), [False, True]), (F(1414213562, 10**9), [True, False])):
+            p = Poly([-r, F(1)]) * Poly.from_ints([-2, 0, 1])
+            roots = isolate_positive_roots(p, EPS)
+            assert [x.is_rational for x in roots] == expected
+            assert r in [x.rational for x in roots]
+
+    @given(
+        st.lists(st.integers(1, 40), max_size=3, unique=True),
+        st.lists(st.sampled_from([2, 3, 5, 6, 7]), max_size=2, unique=True),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_roots_come_in_increasing_order(self, rationals, squares):
+        # rationals r/9 and irrationals sqrt(s)/2, distinct and positive
+        p = Poly.from_ints([1])
+        for r in rationals:
+            p = p * Poly([F(-r, 9), F(1)])
+        for sq in squares:
+            p = p * Poly([F(-sq, 4), F(0), F(1)])
+        roots = isolate_positive_roots(p, EPS)
+        assert sorted(x.rational for x in roots if x.is_rational) == sorted(F(r, 9) for r in rationals)
+        assert sum(not x.is_rational for x in roots) == len(squares)
+        values = [float(x.rational) if x.is_rational else x.to_float() for x in roots]
+        assert values == sorted(values)
+
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
     @settings(max_examples=25, deadline=None)
     def test_recovers_planted_rational_roots(self, roots_in):

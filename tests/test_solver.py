@@ -1,14 +1,21 @@
 """Weight verification and the determinant/kernel pipeline."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cwkms
 from cwkms.complexes import boundary_graph
 from cwkms.errors import MissingValue
-from cwkms.exact import Poly, kernel_basis_exact
+from cwkms.exact import Poly, kernel_basis_exact, scalar_sign, scalar_to_float
 from cwkms.graphs import build_graph
 from cwkms.solver import (
     GraphWeight,
@@ -24,6 +31,13 @@ from cwkms.solver import (
 from .conftest import random_graph
 
 LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
+TWO_CYCLES = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [
+        {"id": "ab", "src": "a", "dst": "b"}, {"id": "ba", "src": "b", "dst": "a"},
+        {"id": "cd", "src": "c", "dst": "d"}, {"id": "dc", "src": "d", "dst": "c"},
+    ],
+}
 
 
 class TestVerify:
@@ -247,14 +261,22 @@ class TestSolvePipeline:
                 res = positive_kernel(rows)
                 basis = kernel_basis_exact(rows)
                 oracle = _positive_exists_bruteforce(basis)
-                if res.dim <= 1:
+                assert res.status in ("positive", "none")
+                if res.dim <= 1 or oracle:
                     assert (res.status == "positive") == oracle
-                elif res.status == "positive":
-                    # LP found one; it must actually lie in the kernel and be positive
-                    vec = res.positive_floats()
-                    a = np.array([[float(x) for x in row] for row in rows])
-                    assert np.allclose(a @ np.array(vec), 0, atol=1e-8)
-                    assert min(vec) > 0
+                if res.status == "positive":
+                    _assert_positive_kernel_vector(rows, res.positive)
+
+
+def _assert_positive_kernel_vector(rows, vec):
+    """Exact check; a float vector (the numeric kernel fallback of a
+    reducible modulus) is checked to rounding."""
+    assert all(scalar_sign(x) > 0 for x in vec)
+    if any(isinstance(x, float) for x in vec):
+        a = np.array([[scalar_to_float(x) for x in row] for row in rows])
+        assert np.allclose(a @ np.array(vec), 0, atol=1e-8)
+    else:
+        assert all(sum((a * x for a, x in zip(row, vec)), 0 * vec[0]) == 0 for row in rows)
 
 
 def _positive_exists_bruteforce(basis) -> bool:
@@ -274,3 +296,154 @@ def _positive_exists_bruteforce(basis) -> bool:
         if all(v > 0 for v in vec):
             return True
     return False
+
+
+def _adjacency(graph):
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    a = np.zeros((len(index), len(index)))
+    for e in graph.edges:
+        a[index[e.src], index[e.dst]] += 1
+    return a
+
+
+def _classes(a):
+    """Strongly connected classes of the adjacency matrix, by transitive
+    closure, and for each whether an edge leaves it (it is not final)."""
+    n = len(a)
+    reach = (a > 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach = reach | (reach[:, [k]] & reach[[k], :])
+    classes = {frozenset(j for j in range(n) if reach[i, j] and reach[j, i]) for i in range(n)}
+    return [(sorted(c), any(a[i, j] > 0 and j not in c for i in c for j in range(n))) for c in classes]
+
+
+def _spectral_radius(a):
+    return max(abs(np.linalg.eigvals(a))) if len(a) else 0.0
+
+
+def _strongly_connected_graph(rng, n_max=6):
+    """A random multigraph on a Hamiltonian cycle, so strongly connected."""
+    n = rng.randint(1, n_max)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    return build_graph({
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": f"e{k}", "src": f"v{a}", "dst": f"v{b}"} for k, (a, b) in enumerate(pairs)],
+    })
+
+
+def _cycles_graph(cycles, extra_edges=(), length=2):
+    """Disjoint directed cycles named by letter, plus extra edges between
+    their first vertices; "golden" cycles add a loop at the first vertex."""
+    vertices, edges = [], []
+    for name, golden in cycles:
+        vs = [f"{name}{i}" for i in range(length)]
+        vertices += vs
+        edges += [(vs[i], vs[(i + 1) % length]) for i in range(length)]
+        if golden:
+            edges.append((vs[0], vs[0]))
+    edges += [(f"{a}0", f"{b}0") for a, b in extra_edges]
+    return build_graph({
+        "vertices": vertices,
+        "edges": [{"id": f"e{k}", "src": s, "dst": d} for k, (s, d) in enumerate(edges)],
+    })
+
+
+class TestPerronFrobenius:
+    """A positive kernel vector of lambda*A - I is a positive eigenvector of
+    A, which exists only at lambda = 1/rho(A), and there exactly when the
+    classes of spectral radius rho are the final classes."""
+
+    def test_strongly_connected_graphs(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            graph = _strongly_connected_graph(rng)
+            rep = solve_special_weights(graph)
+            assert [f.kernel.status for f in rep.families] == ["positive"] + ["none"] * (len(rep.families) - 1)
+            fam = rep.families[0]
+            rows = evaluate_special_matrix(graph, fam.eta)
+            _assert_positive_kernel_vector(rows, fam.kernel.positive)
+            a = _adjacency(graph)
+            vals, vecs = np.linalg.eig(a)
+            top = int(np.argmax(vals.real))
+            assert abs(fam.eta.to_float() - 1 / vals[top].real) < 1e-9
+            perron = np.abs(vecs[:, top].real)
+            got = np.array(fam.kernel.positive_floats())
+            assert np.allclose(got / got.max(), perron / perron.max(), atol=1e-8)
+
+    def test_reducible_graphs(self):
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            graph = random_graph(rng, n_max=6, allow_sinks=False)
+            a = _adjacency(graph)
+            classes = _classes(a)
+            radii = [_spectral_radius(a[np.ix_(c, c)]) for c, _ in classes]
+            rho = max(radii)
+            basic = {tuple(c) for (c, _), r in zip(classes, radii) if abs(r - rho) < 1e-9}
+            final = {tuple(c) for c, leaves in classes if not leaves}
+            expected = basic == final
+            seen[expected] += 1
+            rep = solve_special_weights(graph)
+            statuses = [f.kernel.status for f in rep.families]
+            assert abs(rep.families[0].eta.to_float() - 1 / rho) < 1e-9
+            assert statuses == ["positive" if expected else "none"] + ["none"] * (len(statuses) - 1)
+            if expected:
+                rows = evaluate_special_matrix(graph, rep.families[0].eta)
+                _assert_positive_kernel_vector(rows, rep.families[0].kernel.positive)
+        assert seen[True] and seen[False]
+
+    def test_basic_class_that_is_not_final(self):
+        # three 2-cycles X, Y, Z and an edge X -> Y: at lambda = 1 the kernel
+        # is spanned by the Z cycle and by X, and Y is forced to 0
+        rep = solve_special_weights(_cycles_graph([("x", False), ("y", False), ("z", False)], [("x", "y")]))
+        (fam,) = rep.families
+        assert fam.eta.equals_rational(1)
+        assert (fam.kernel.status, fam.kernel.dim) == ("none", 2)
+
+    def test_number_field_kernels_of_dimension_two(self):
+        # a 2-cycle with a loop has rho = golden ratio; two disjoint copies
+        # have a positive Perron kernel of dimension 2, three copies with an
+        # edge between two of them have none
+        for cycles, extra, status in (
+            ([("x", True), ("y", True)], [], "positive"),
+            ([("x", True), ("y", True), ("z", True)], [("x", "y")], "none"),
+        ):
+            graph = _cycles_graph(cycles, extra)
+            fam = solve_special_weights(graph).families[0]
+            assert not fam.eta.is_rational and fam.eta.poly.degree == 2
+            assert abs(fam.eta.to_float() - 2 / (1 + 5 ** 0.5)) < 1e-12
+            assert (fam.kernel.status, fam.kernel.dim) == (status, 2)
+            if status == "positive":
+                _assert_positive_kernel_vector(evaluate_special_matrix(graph, fam.eta), fam.kernel.positive)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_positive_kernel_on_random_exact_matrices(self, data):
+        # M = U V has rank <= r, so its kernel has dimension >= n - r
+        n = data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(0, n - 1))
+        entry = st.integers(-3, 3)
+        u = [[data.draw(entry) for _ in range(r)] for _ in range(n)]
+        v = [[data.draw(entry) for _ in range(n)] for _ in range(r)]
+        rows = [[F(sum(u[i][t] * v[t][j] for t in range(r))) for j in range(n)] for i in range(n)]
+        res = positive_kernel(rows)
+        assert res.status in ("positive", "none")
+        if res.status == "positive":
+            _assert_positive_kernel_vector(rows, res.positive)
+        if res.dim <= 3 and _positive_exists_bruteforce(res.basis):  # the grid has 17**dim points
+            assert res.status == "positive"
+
+    def test_solver_does_not_import_scipy(self):
+        # two disjoint 2-cycles: a two-dimensional kernel at the Perron root
+        code = (
+            "import sys; import cwkms; "
+            "fam = cwkms.solve_special_weights(cwkms.build_graph({spec!r})).families[0]; "
+            "print(fam.kernel.status, fam.kernel.dim, 'scipy' in sys.modules)"
+        ).format(spec=TWO_CYCLES)
+        src = str(Path(cwkms.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["positive", "2", "False"]
