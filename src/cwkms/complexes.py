@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BrokenBoundaryWord, DuplicateId, UnknownEdge
 from .graphs import DirectedGraph, Edge, build_graph, graph_to_dict, spec_id, spec_ids, spec_list, spec_object
@@ -36,11 +37,12 @@ class Oriented2Complex:
     skeleton: DirectedGraph
     faces: tuple[Face, ...]
 
+    @cached_property
+    def _faces_by_id(self) -> dict[str, Face]:
+        return {f.id: f for f in self.faces}
+
     def face(self, fid: str) -> Face:
-        for f in self.faces:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+        return self._faces_by_id[fid]
 
 
 @dataclass(frozen=True)

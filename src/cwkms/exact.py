@@ -117,9 +117,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Poly":
-        return Poly([a * c for a in self.coeffs])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division; coefficients must support true division."""
         if other.is_zero():
@@ -164,8 +161,8 @@ class Poly:
         over d, so after k steps both bounds are integers over den * d**k."""
         if not self.coeffs:
             return Fraction(0), Fraction(0)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in reversed(self.coeffs)]
+        nums, den = _int_numerators(self.coeffs)
+        nums.reverse()
         d = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
         vlo = vhi = nums[0]
@@ -181,18 +178,8 @@ class Poly:
 
         Only meaningful for Fraction coefficients.
         """
-        if self.is_zero():
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return Poly([Fraction(v, g) for v in ints])
+        p = self.pos_normalized()
+        return -p if p.coeffs and p.coeffs[-1] < 0 else p
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -204,16 +191,11 @@ class Poly:
         """Divide by the positive content; keeps every coefficient sign.
 
         Only meaningful for Fraction coefficients; used to hold coefficient
-        growth down in remainder sequences."""
-        if self.is_zero():
-            return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        return Poly([c / content for c in self.coeffs])
+        growth down in remainder sequences.  The content of reduced a_i/b_i
+        is gcd(a_i)/lcm(b_i), so the integers over the lcm divide by it."""
+        ints, _ = _int_numerators(self.coeffs)
+        g = _int_gcd(*ints)
+        return Poly([Fraction(v // g) for v in ints]) if g else self
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd over the fraction field of the coefficients.
@@ -253,12 +235,14 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _int_numerators(coeffs) -> tuple[list[int], int]:
+    """Numerators of rational ``coeffs`` over their lcm denominator, and it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _is_zero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    if isinstance(c, FieldElement):
-        return c.rep.is_zero()
-    return c == 0
+    return c.rep.is_zero() if isinstance(c, FieldElement) else c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +326,7 @@ class AlgebraicScalar:
         eps = _positive_width(eps)
         if self.is_rational:
             return self
-        slo, shi = self.poly.sign_at(self.lo), self.poly.sign_at(self.hi)
+        slo = self.poly.sign_at(self.lo)
         lo, hi = self.lo, self.hi
         while hi - lo > eps:
             mid = (lo + hi) / 2
@@ -361,10 +345,17 @@ class AlgebraicScalar:
         return self
 
     def to_float(self, eps=Fraction(1, 10**15)) -> float:
-        if self.is_rational:
-            return float(self.rational)
-        self.refine(eps)
-        return float((self.lo + self.hi) / 2)
+        """The midpoint of an isolating interval of width at most ``eps``
+        times min(1, |root|), so small roots keep their significant digits."""
+        eps = _positive_width(eps)
+        while not self.is_rational:
+            if self.lo < 0 < self.hi and self.poly.sign_at(Fraction(0)) == 0:
+                return 0.0  # the only root in the interval
+            target = eps * min(abs(self.lo), abs(self.hi), 1)
+            if self.hi - self.lo <= target:
+                return float((self.lo + self.hi) / 2)
+            self.refine(target or self.width() / 2)
+        return float(self.rational)
 
     def __float__(self) -> float:
         return self.to_float()
@@ -488,6 +479,7 @@ class NumberField:
         if self.modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
         self.root = root
+        self.modulus_ints = [int(c) for c in self.modulus.coeffs]
 
     def element(self, coeffs) -> "FieldElement":
         rep = coeffs if isinstance(coeffs, Poly) else Poly([_as_fraction(c) for c in coeffs])
@@ -555,7 +547,29 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, (self.rep * o.rep).divmod(self.field.modulus)[1])
+        # integer numerators over one denominator; the remainder is unique,
+        # so this equals the Euclidean remainder of the rational product
+        a, da = _int_numerators(self.rep.coeffs)
+        b, db = _int_numerators(o.rep.coeffs)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        # pseudo-division by the primitive modulus: s * prod = q * m + rem
+        m = self.field.modulus_ints
+        d, lead, s = len(m) - 1, m[-1], 1
+        for k in range(len(prod) - 1, d - 1, -1):
+            if prod[k]:
+                t = lead // _int_gcd(prod[k], lead)
+                if t > 1:
+                    prod = [v * t for v in prod[:k + 1]]
+                    s *= t
+                q = prod[k] // lead
+                for i in range(d):
+                    prod[k - d + i] -= q * m[i]
+        den = da * db * s
+        return FieldElement(self.field, Poly([Fraction(v, den) for v in prod[:d]]))
 
     __rmul__ = __mul__
 
@@ -586,7 +600,7 @@ class FieldElement:
         if r0.degree != 0:
             raise ZeroDivisor(f"{self.rep} is a zero divisor modulo {self.field.modulus}")
         inv_gcd = Fraction(1) / r0.coeffs[0]
-        return FieldElement(self.field, s0.scale(inv_gcd).divmod(self.field.modulus)[1])
+        return FieldElement(self.field, (s0 * inv_gcd).divmod(self.field.modulus)[1])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -601,10 +615,8 @@ class FieldElement:
         return o * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            o = self._coerce(other)
-            return (self.rep - o.rep).is_zero()
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.rep == o.rep
 
     def __hash__(self):
         return hash((id(self.field), self.rep.coeffs))
@@ -640,15 +652,18 @@ class FieldElement:
             root.refine(root.width() / 4)
 
     def to_float(self, eps: float = 1e-14) -> float:
-        root = self.field.root
+        """The midpoint of an enclosure of width at most ``eps`` times
+        min(1, |value|), once ``sign`` has ruled out an exact zero."""
         target = _positive_width(eps)
-        while True:
-            if root.is_rational:
-                return float(self.rep(root.rational))
+        if self.sign() == 0:
+            return 0.0
+        root = self.field.root
+        while not root.is_rational:
             vlo, vhi = self.rep.interval_eval(root.lo, root.hi)
-            if vhi - vlo <= target:
+            if vhi - vlo <= target * min(abs(vlo), abs(vhi), 1):
                 return float((vlo + vhi) / 2)
             root.refine(root.width() / 16)
+        return float(self.rep(root.rational))
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -658,10 +673,8 @@ class FieldElement:
 
 
 def scalar_to_float(x, eps: float = 1e-14) -> float:
-    if isinstance(x, FieldElement):
+    if isinstance(x, (FieldElement, AlgebraicScalar)):
         return x.to_float(eps)
-    if isinstance(x, AlgebraicScalar):
-        return x.to_float(_as_fraction(eps))
     return float(x)
 
 
@@ -883,7 +896,10 @@ def _entry(x):
 
 def kernel_basis_exact(rows) -> list[list]:
     """Basis of the right kernel of a matrix of exact scalars, by reduced row
-    echelon form.  Returns a list of coordinate vectors."""
+    echelon form.  Returns a list of coordinate vectors.
+
+    The pivot row is scaled by one inverse, and the other rows are updated
+    only in the columns where the pivot row is non-zero."""
     if not rows:
         return []
     m = [[_entry(x) for x in row] for row in rows]
@@ -891,20 +907,21 @@ def kernel_basis_exact(rows) -> list[list]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if not _is_zero(m[i][c])), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        inv = 1 / prow[c]
+        # entries left of c are zero in every row from r on
+        cols = [j for j in range(c, ncols) if not _is_zero(prow[j])]
+        for j in cols:
+            prow[j] = prow[j] * inv
+        for i, row in enumerate(m):
+            if i != r and not _is_zero(row[c]):
+                f = row[c]
+                for j in cols:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -283,9 +283,11 @@ def _normalize_sup(vec):
         if scalar_sign(mags[best]) == 0:
             return vec
         try:
-            return [x / mags[best] for x in vec]
+            inv = Fraction(1) / mags[best]
         except ZeroDivisor:
             candidates.remove(best)
+            continue
+        return [x * inv for x in vec]
     return vec
 
 

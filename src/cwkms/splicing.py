@@ -12,6 +12,7 @@ output weight carries ``eta_instances``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import Face, Oriented2Complex, build_complex
@@ -410,24 +411,30 @@ def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_
     for (pname, e), name in am.edge_names.items():
         val = weights[pname].lam[e]
         lam[name] = val if name not in lam else lam[name] + val
-    lt = {e.id: lam[e.id] / g[e.dst] for e in fd.skeleton.edges}
+    shared = {name for name, n in Counter(am.edge_names.values()).items() if n > 1}
+    g_inv = {v: 1 / g[v] for v in {e.dst for e in fd.skeleton.edges}}
+    lt = {e.id: lam[e.id] * g_inv[e.dst] for e in fd.skeleton.edges}
 
     from .solver import _eq_scalar
 
     eta_instances: dict = {}
     eta: dict = {}
+    lam_inv: dict = {}  # of the shared edges met in face words
     piece_of_face = {fname: key for key, fname in am.face_names.items()}
     for f in fd.faces:
         pname, orig_fid = piece_of_face[f.id]
-        piece = am.pieces[pname]
-        orig_face = next(pf for pf in piece.faces if pf.id == orig_fid)
+        orig_face = am.pieces[pname].face(orig_fid)
         w = weights[pname]
         n = len(f.boundary)
         vals = []
         for k in range(n):
-            next_orig = orig_face.boundary[(k + 1) % n]
             next_name = f.boundary[(k + 1) % n]
-            val = w.eta_at(orig_fid, k) * w.lam[next_orig] / lam[next_name]
+            val = w.eta_at(orig_fid, k)
+            # an unshared lam[next] is the piece's own value: the ratio is 1
+            if next_name in shared:
+                if next_name not in lam_inv:
+                    lam_inv[next_name] = 1 / lam[next_name]
+                val = val * w.lam[orig_face.boundary[(k + 1) % n]] * lam_inv[next_name]
             eta_instances[(f.id, k)] = val
             vals.append(val)
         if vals and all(_eq_scalar(v, vals[0]) for v in vals[1:]):

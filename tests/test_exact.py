@@ -1,5 +1,6 @@
 """Exact arithmetic: polynomials, root isolation, number fields, kernels."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cwkms.errors import InputError, ZeroDivisor, ZeroPolynomial
 from cwkms.exact import (
     AlgebraicScalar,
+    FieldElement,
     NumberField,
     Poly,
     count_roots,
@@ -393,3 +395,170 @@ def test_nonpositive_refinement_width_rejected():
         with pytest.raises(InputError, match="must be positive"):
             call()
     assert abs(root.to_float() - 2**0.5) < 1e-15
+
+
+def test_small_irrational_root_keeps_its_significant_digits():
+    root = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]), 1e-14)[0]  # sqrt(2) / 10**7
+    assert f"{root.to_float():.15g}" == "1.4142135623731e-07"
+    x = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]), 1e-14)[0].number_field().gen()
+    assert abs(x.to_float() / (2**0.5 * 1e-7) - 1) < 1e-14
+
+
+def test_to_float_of_an_exact_zero_terminates():
+    # x^3 - x has the single root 0 in (-1/3, 1/2), which bisection never hits
+    s = AlgebraicScalar.from_root(Poly.from_ints([0, -1, 0, 1]), F(-1, 3), F(1, 2))
+    assert s.to_float() == 0.0
+    # 2x^2 - 1 vanishes at the root 1/sqrt(2) of a reducible modulus: its
+    # enclosure contains 0 at every width
+    m = Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 2])
+    x = isolate_positive_roots(m, F(1, 10**6))[0].number_field().gen()
+    assert (x * x * 2 - 1).to_float() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Integer products in Q[x]/(m) and sparse exact elimination, against the
+# rational Euclidean remainder and a dense reduced row echelon form
+# ---------------------------------------------------------------------------
+
+MODULI = {
+    "monic": Poly.from_ints([-2, 0, 1]),  # x^2 - 2
+    "leading 7": Poly.from_ints([-5, -2, 0, 7]),  # 7x^3 - 2x - 5
+    "leading 6, reducible": Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 3]),
+    "reducible, rational factor": Poly.from_ints([-1, 3]) * Poly.from_ints([-2, 0, 5]) * Poly.from_ints([1, 0, 1]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(name: str) -> NumberField:
+    m = MODULI[name]
+    return NumberField(m, isolate_positive_roots(m, F(1, 10**6))[-1])
+
+
+field_coeffs = st.lists(st.builds(F, st.integers(-20, 20), st.integers(1, 12)), max_size=8)
+
+
+@given(st.sampled_from(sorted(MODULI)), field_coeffs, field_coeffs, st.builds(F, st.integers(-50, 50), st.integers(1, 50)))
+@settings(max_examples=100, deadline=None)
+def test_field_product_is_the_euclidean_remainder(name, ca, cb, r):
+    k = _ring(name)
+    a, b = k.element(ca), k.element(cb)
+    for got, want in (
+        (a * b, a.rep * b.rep),
+        (b * a, a.rep * b.rep),
+        (a * a, a.rep * a.rep),
+        (a * r, a.rep * r),
+        (r * a, a.rep * r),
+        (a * 3, a.rep * 3),
+    ):
+        assert got.rep == want.divmod(k.modulus)[1]
+        assert all(type(c) is F for c in got.rep.coeffs)
+        assert got.rep.degree < k.modulus.degree
+
+
+def _dense_kernel(rows):
+    """Reference: reduced row echelon form that divides every entry of the
+    pivot row by the pivot and updates every column of every other row."""
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = m[0][0] * 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = zero + 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def _outcome(kernel, rows):
+    try:
+        return kernel(rows)
+    except ZeroDivisor:
+        return "ZeroDivisor"
+
+
+@st.composite
+def sparse_matrices(draw, entry):
+    """Rows of entries drawn from ``entry`` or None (zero, two times in
+    three), and a few combinations row_i + c * row_j that keep the rank
+    below the row count."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = [[draw(st.one_of(st.none(), st.none(), entry)) for _ in range(ncols)] for _ in range(nrows)]
+    combos = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, nrows - 1), st.integers(-3, 3)), max_size=2))
+    return rows, combos
+
+
+small_fractions = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+def _materialize(matrix, embed):
+    rows, combos = matrix
+    rows = [[embed(x) for x in row] for row in rows]
+    for i, j, c in combos:
+        rows.append([x + y * c for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@given(sparse_matrices(small_fractions))
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_is_the_dense_kernel_over_q(rows):
+    rows = _materialize(rows, lambda x: F(0) if x is None else x)
+    basis = kernel_basis_exact(rows)
+    assert basis == _dense_kernel(rows)
+    assert all(type(v) is F for vec in basis for v in vec)
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+@given(sparse_matrices(st.tuples(small_fractions, st.builds(F, st.integers(-9, 9), st.integers(1, 6)))))
+@settings(max_examples=60, deadline=None)
+def test_sparse_kernel_is_the_dense_kernel_over_q_sqrt2(rows):
+    k = _ring("monic")
+    s = k.gen()
+    rows = _materialize(rows, lambda x: k.zero() if x is None else x[0] + x[1] * s)
+    basis = kernel_basis_exact(rows)
+    assert basis == _dense_kernel(rows)
+    assert all(isinstance(v, FieldElement) for vec in basis for v in vec)
+    for vec in basis:
+        assert all(sum((a * b for a, b in zip(row, vec)), k.zero()) == 0 for row in rows)
+
+
+# entries of Q[x]/((2x^2 - 1)(2x^2 + x + 1)): units and zero divisors
+# vanishing on either factor
+_REDUCIBLE_ENTRIES = [[1], [0, 1], [-1, 0, 2], [0, -1, 0, 2], [1, 1, 3], [2, -1], [1, 1, 2, 1]]
+
+
+@given(sparse_matrices(st.sampled_from(range(len(_REDUCIBLE_ENTRIES)))))
+@settings(max_examples=100, deadline=None)
+def test_sparse_kernel_meets_zero_divisors_where_the_dense_kernel_does(rows):
+    k = _ring("leading 6, reducible")
+    rows = _materialize(rows, lambda x: k.zero() if x is None else k.element(_REDUCIBLE_ENTRIES[x]))
+    assert _outcome(kernel_basis_exact, rows) == _outcome(_dense_kernel, rows)
+
+
+def test_sparse_kernel_raises_on_a_zero_divisor_pivot():
+    k = _ring("leading 6, reducible")
+    zd = k.element([-1, 0, 2])
+    rows = [[zd, k.one(), k.zero()], [k.zero(), k.zero(), k.one()]]
+    with pytest.raises(ZeroDivisor):
+        kernel_basis_exact(rows)
+    with pytest.raises(ZeroDivisor):
+        _dense_kernel(rows)

@@ -249,6 +249,26 @@ class TestSolvePipeline:
         assert abs(fam.eta.to_float() - 0.505) < 1e-3
         assert 1 in fam.kernel.positive
 
+    def test_exact_kernel_of_a_24_vertex_graph(self):
+        """A Hamiltonian cycle plus 24 random edges: the Perron root is the
+        only positive root and its kernel lives in a ring of high degree,
+        where elimination over Fraction coefficients took seconds."""
+        cycle = [1, 3, 13, 10, 9, 16, 17, 8, 7, 0, 4, 14, 15, 23, 11, 2, 21, 19, 20, 6, 5, 18, 12, 22, 1]
+        extra = [(15, 23), (14, 21), (9, 15), (2, 21), (8, 19), (5, 21), (10, 9), (2, 17),
+                 (20, 11), (21, 1), (6, 10), (10, 23), (2, 9), (3, 7), (21, 19), (4, 15),
+                 (9, 8), (17, 23), (8, 6), (2, 18), (15, 4), (20, 4), (10, 15), (6, 21)]
+        pairs = list(zip(cycle, cycle[1:])) + extra
+        spec = {
+            "vertices": [f"v{i}" for i in range(24)],
+            "edges": [{"id": f"e{k}", "src": f"v{a}", "dst": f"v{b}"} for k, (a, b) in enumerate(pairs)],
+        }
+        rep = solve_special_weights(build_graph(spec))
+        (fam,) = rep.faithful_families()
+        assert [f.kernel.status for f in rep.families] == ["positive"]
+        assert not fam.eta.is_rational
+        assert not any(isinstance(x, float) for x in fam.kernel.positive)
+        _assert_positive_kernel_vector(fam.kernel.rows, fam.kernel.positive)
+
     def test_brute_force_oracle_agreement(self):
         """Exhaustive rational elimination agrees with positive_kernel on the
         existence of strictly positive solutions (grid of rational lambdas)."""
