@@ -52,7 +52,6 @@ from .pathalgebra import (
     vertex_projection,
 )
 from .solver import (
-    BoundaryMatrix,
     GraphWeight,
     boundary_matrix,
     det_polynomial,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
@@ -273,8 +274,6 @@ def cmd_kms_check(args) -> int:
         bd_monos = all_monomials(boundary_graph(c).graph, args.max_path_len)
         rep1 = kms_check(psi.skeleton, [(x, y) for x in sk_monos for y in sk_monos], args.tol)
         rep2 = kms_check(psi.boundary, [(x, y) for x in bd_monos for y in bd_monos], args.tol)
-        import random
-
         rng = random.Random(0)
         mixed = [
             Rank2Monomial(rng.choice(sk_monos), rng.choice(bd_monos)) for _ in range(100)

@@ -28,9 +28,10 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
-    _as_fraction,
-    det_bareiss_poly,
+    as_fraction,
     isolate_positive_roots,
+    scalar_abs_leq,
+    scalar_eq,
     scalar_sign,
     scalar_to_float,
 )
@@ -40,10 +41,9 @@ from .solver import (
     DEFAULT_TOL,
     GraphWeight,
     WeightReport,
-    _abs_leq,
-    _eq_scalar,
-    evaluate_special_matrix,
+    boundary_matrix,
     parse_scalar,
+    pencil_determinant,
     positive_kernel,
     solve_special_weights,
     verify_graph_weight,
@@ -97,7 +97,7 @@ class Rank2Weight:
 
     def special_on(self, c: Oriented2Complex) -> bool:
         vals = [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
-        return all(_eq_scalar(x, vals[0]) for x in vals[1:]) if vals else True
+        return all(scalar_eq(x, vals[0]) for x in vals[1:]) if vals else True
 
 
 def boundary_weight_residuals(c: Oriented2Complex, lam: dict, eta_of, step: int = 1) -> dict[str, object]:
@@ -119,7 +119,7 @@ def boundary_weight_residuals(c: Oriented2Complex, lam: dict, eta_of, step: int 
 def _residual_summary(sk_report: WeightReport, residual_maps: list[dict], tol: Fraction):
     """Pass flag, absolute float residual maps and largest residual of a
     skeleton report together with exact residual maps."""
-    within = [_abs_leq(r, tol) for m in residual_maps for r in m.values()]
+    within = [scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
     floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
     maxr = max([sk_report.max_residual] + [x for m in floats for x in m.values()])
     return sk_report.passed and all(within), floats, maxr
@@ -153,7 +153,7 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
     """Check both weight equations plus the coupling demanded by the mode."""
     if not w.is_total_on(c):
         raise MissingValue("rank-2 weight is not total on the complex")
-    tol = _as_fraction(tol)
+    tol = as_fraction(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
     bres = boundary_weight_residuals(c, w.lam, w.eta_at)
     coupling: dict[str, object] = {}
@@ -254,55 +254,26 @@ def _lift_standard(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> Ran
 
 
 def _eta_scalar(eta: AlgebraicScalar, companions=()):
-    """Exact scalar for a root that can mix arithmetically with the given
-    companion values.  Rationals mix with everything; an irrational root
-    reuses a companion number field exactly when that field was built from
-    the same root, and otherwise degrades to floats beside incompatible
-    exact values."""
-    if eta.is_rational:
-        return eta.rational
-    foreign_field = False
-    for v in companions:
-        if isinstance(v, FieldElement):
-            if v.field.root is eta:
-                return v.field.gen()
-            foreign_field = True
-        elif isinstance(v, float):
-            return eta.to_float()
-    if foreign_field:
-        return eta.to_float()
-    return eta.number_field().gen()
+    """Scalar for a root that can mix arithmetically with the given
+    companion values: the root's exact value, or its float beside a float
+    companion or an element of another number field."""
+    if not eta.is_rational:
+        for v in companions:
+            if isinstance(v, float) or (isinstance(v, FieldElement) and v.field.root is not eta):
+                return eta.to_float()
+    return eta.exact_value()
 
 
 def scale_determinant(graph: DirectedGraph, lam0: dict) -> Poly:
     """Determinant of the skeleton system g = C * (weighted adjacency) g as a
     polynomial in the scale C; entries C*sum(lam0) - identity on non-sinks.
 
-    Exact lambda values go through ``det_bareiss_poly``; float values
+    Exact lambda values go through ``pencil_determinant``; float values
     (possible after a numeric kernel fallback) are handled by evaluating the
     determinant at sample points and interpolating."""
     if any(isinstance(v, float) for v in lam0.values()):
         return _scale_determinant_float(graph, lam0)
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    zero = None
-    for v in lam0.values():
-        zero = v * 0
-        break
-    if zero is None:
-        zero = Fraction(0)
-    acc = [[zero for _ in range(n)] for _ in range(n)]
-    for e in graph.edges:
-        i, j = index[e.src], index[e.dst]
-        acc[i][j] = acc[i][j] + lam0[e.id]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            const = Fraction(-1) if (i == j and not graph.is_sink(graph.vertices[i])) else Fraction(0)
-            row.append(Poly([zero + const, acc[i][j]]))
-        entries.append(row)
-    return det_bareiss_poly(entries)
+    return pencil_determinant(graph, lam0)
 
 
 def _scale_determinant_float(graph: DirectedGraph, lam0: dict) -> Poly:
@@ -325,7 +296,7 @@ def _poly_positive_roots_numeric(p: Poly) -> list[float]:
     evaluation."""
     if p.degree < 1:
         return []
-    coeffs = [scalar_to_float(cv, 1e-16) for cv in p.coeffs]
+    coeffs = [scalar_to_float(cv) for cv in p.coeffs]
     roots = np.roots(list(reversed(coeffs)))
     out = []
     for r in roots:
@@ -385,14 +356,14 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     if det.is_zero():
         scale_roots: list = []
     elif all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
-        scale_roots = isolate_positive_roots(det, _as_fraction(eps))
+        scale_roots = isolate_positive_roots(det, as_fraction(eps))
     else:
         scale_roots = _poly_positive_roots_numeric(det)
     solutions = []
     for root in scale_roots[:1]:
         cval = _eta_scalar(root, lam0.values()) if isinstance(root, AlgebraicScalar) else root
         lam_scaled = {eid: _mixed_mul(cval, lam0[eid]) for eid in lam0}
-        kr = positive_kernel(_skeleton_matrix_at(sk, lam_scaled))
+        kr = positive_kernel(boundary_matrix(sk, lam_scaled))
         if kr.status == "positive":
             solutions.append((root, lam_scaled, _vector_as_map(sk.vertices, kr.positive)))
     return det, solutions
@@ -432,22 +403,6 @@ def _mixed_mul(cval, lam_val):
     if isinstance(cval, float):
         return cval * scalar_to_float(lam_val)
     return cval * lam_val
-
-
-def _skeleton_matrix_at(graph: DirectedGraph, lam: dict) -> list[list]:
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    float_mode = any(isinstance(v, float) for v in lam.values())
-    zero: object = 0.0 if float_mode else Fraction(0)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    for e in graph.edges:
-        i, j = index[e.src], index[e.dst]
-        val = scalar_to_float(lam[e.id]) if float_mode else lam[e.id]
-        rows[i][j] = rows[i][j] + val
-    for i, v in enumerate(graph.vertices):
-        if not graph.is_sink(v):
-            rows[i][i] = rows[i][i] - 1
-    return rows
 
 
 def _solve_no_faces(c: Oriented2Complex, mode: str, eps) -> list[Rank2Family]:
@@ -528,7 +483,7 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
     (eta_b), the skeleton equation, and, when flagged tight, the matching
     conditions lt = lam and eta_a = eta_b."""
     _require_triangular(c)
-    tol = _as_fraction(tol)
+    tol = as_fraction(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
     res_a = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_a[fid], 1)
     res_b = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_b[fid], -1)
@@ -544,7 +499,7 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
     vals += [w.eta_a[f.id] for f in c.faces] + [w.eta_b[f.id] for f in c.faces]
     faithful = all(scalar_sign(x) != 0 for x in vals)
     etas = [w.eta_a[f.id] for f in c.faces] + [w.eta_b[f.id] for f in c.faces]
-    special = all(_eq_scalar(x, etas[0]) for x in etas[1:]) if etas else True
+    special = all(scalar_eq(x, etas[0]) for x in etas[1:]) if etas else True
     return TriangularReport(
         passed=passed,
         skeleton=sk_report,
@@ -585,10 +540,8 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
     families: list[TriangularFamily] = []
     for fam in report.faithful_families():
         eta = fam.eta
-        rows_a = evaluate_special_matrix(bg.graph, eta)
-        rows_b = evaluate_special_matrix(pg.graph, eta)
-        stacked = rows_a + rows_b
-        kr = positive_kernel(stacked)
+        # the family's kernel rows are the follower system at eta
+        kr = positive_kernel(fam.kernel.rows + boundary_matrix(pg.graph, eta.exact_value()))
         if kr.status != "positive":
             continue
         lam0 = _vector_as_map(bg.graph.vertices, kr.positive)

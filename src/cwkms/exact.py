@@ -32,8 +32,13 @@ from math import isqrt, lcm
 
 from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
+# Relative width of the enclosure a decimal is read from: the 15 significant
+# digits that reports print are then off only within 1e-16 of a rounding
+# boundary.
+DECIMAL_WIDTH = 1e-16
 
-def _as_fraction(x) -> Fraction:
+
+def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -45,7 +50,7 @@ def _as_fraction(x) -> Fraction:
 
 def _positive_width(eps) -> Fraction:
     # no interval around an irrational root ever reaches width 0
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if eps <= 0:
         raise InputError(f"root isolation width must be positive, got {eps}")
     return eps
@@ -304,7 +309,7 @@ class AlgebraicScalar:
 
     @staticmethod
     def from_rational(r) -> "AlgebraicScalar":
-        return AlgebraicScalar(rational=_as_fraction(r))
+        return AlgebraicScalar(rational=as_fraction(r))
 
     @staticmethod
     def from_root(poly: Poly, lo: Fraction, hi: Fraction) -> "AlgebraicScalar":
@@ -344,7 +349,7 @@ class AlgebraicScalar:
         self.lo, self.hi = lo, hi
         return self
 
-    def to_float(self, eps=Fraction(1, 10**15)) -> float:
+    def to_float(self, eps=DECIMAL_WIDTH) -> float:
         """The midpoint of an isolating interval of width at most ``eps``
         times min(1, |root|), so small roots keep their significant digits."""
         eps = _positive_width(eps)
@@ -361,10 +366,15 @@ class AlgebraicScalar:
         return self.to_float()
 
     def equals_rational(self, r) -> bool:
-        r = _as_fraction(r)
+        r = as_fraction(r)
         if self.is_rational:
             return self.rational == r
         return False
+
+    def exact_value(self):
+        """The root as an exact scalar: its Fraction, or the generator of
+        its number field."""
+        return self.rational if self.is_rational else self.number_field().gen()
 
     def number_field(self) -> "NumberField":
         """The (memoized) quotient ring generated by this root; reusing one
@@ -482,11 +492,11 @@ class NumberField:
         self.modulus_ints = [int(c) for c in self.modulus.coeffs]
 
     def element(self, coeffs) -> "FieldElement":
-        rep = coeffs if isinstance(coeffs, Poly) else Poly([_as_fraction(c) for c in coeffs])
+        rep = coeffs if isinstance(coeffs, Poly) else Poly([as_fraction(c) for c in coeffs])
         return FieldElement(self, rep.divmod(self.modulus)[1])
 
     def from_rational(self, r) -> "FieldElement":
-        return self.element([_as_fraction(r)])
+        return self.element([as_fraction(r)])
 
     def gen(self) -> "FieldElement":
         return self.element(Poly.x())
@@ -651,7 +661,7 @@ class FieldElement:
                 gcd_checked = True
             root.refine(root.width() / 4)
 
-    def to_float(self, eps: float = 1e-14) -> float:
+    def to_float(self, eps=DECIMAL_WIDTH) -> float:
         """The midpoint of an enclosure of width at most ``eps`` times
         min(1, |value|), once ``sign`` has ruled out an exact zero."""
         target = _positive_width(eps)
@@ -672,7 +682,7 @@ class FieldElement:
         return f"FieldElement({self.rep})"
 
 
-def scalar_to_float(x, eps: float = 1e-14) -> float:
+def scalar_to_float(x, eps=DECIMAL_WIDTH) -> float:
     if isinstance(x, (FieldElement, AlgebraicScalar)):
         return x.to_float(eps)
     return float(x)
@@ -687,6 +697,21 @@ def scalar_sign(x) -> int:
         # isolating intervals of our roots never straddle zero
         return 1 if x.lo >= 0 else -1
     return 1 if x > 0 else (-1 if x < 0 else 0)
+
+
+def scalar_eq(a, b) -> bool:
+    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
+        return scalar_sign(a - b) == 0
+    return a == b
+
+
+def scalar_abs_leq(x, tol: Fraction) -> bool:
+    if isinstance(x, FieldElement):
+        mag = -x if x.sign() < 0 else x
+        return (mag - tol).sign() <= 0
+    if isinstance(x, float):
+        return abs(x) <= float(tol)
+    return abs(x) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +915,7 @@ def det_exact(rows) -> object:
 
 def _entry(x):
     if isinstance(x, (int, str)):
-        return _as_fraction(x)
+        return as_fraction(x)
     return x
 
 

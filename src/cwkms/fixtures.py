@@ -21,6 +21,7 @@ triangle set also induces the Fano plane fixture.
 from __future__ import annotations
 
 from .complexes import Oriented2Complex, build_complex
+from .cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight
 
 FIG_B_SPEC = {
     "vertices": ["u", "x", "y", "v", "z"],
@@ -115,8 +116,6 @@ def fig_b_standard_weight(eta, c=1.0):
     """Closed-form standard-mode weight on figB at the given root value:
     g = C*(h^2, h, h, 1/h, 1) on (x,y,z,u,v), lambda = C*(h^3,h^2,h,1,h^2,h),
     constant lambda_tilde = h, face coefficient h on both faces."""
-    from .cwweights import MODE_STANDARD, Rank2Weight
-
     h = eta
     return Rank2Weight(
         g={"x": c * h * h, "y": c * h, "z": c * h, "u": c / h, "v": c * (h / h)},
@@ -134,8 +133,6 @@ def fig_b_two_parameter_weight(eta1: float, c: float = 1.0):
     """Faithful (non-special) weight family on figB: face coefficients
     eta1 on the square face and eta2 = (1 - eta1^4)^(1/3) on the triangle,
     with the closed-form quadruple that couples them."""
-    from .cwweights import MODE_STANDARD, Rank2Weight
-
     if not 0 < eta1 < 1:
         raise ValueError("eta1 must lie in (0, 1)")
     eta2 = (1.0 - eta1 ** 4) ** (1.0 / 3.0)
@@ -156,8 +153,6 @@ def fig_b_tight_weight(eta: float, c: float):
     """Closed-form tight-mode weight on figB: lambda = lambda_tilde =
     C*(h^3,h^2,h,1,h^2,h) at a positive root C of 1 - C^3 h^3 - C^4 h^6, and
     g the solution of the rescaled skeleton system (normalized at g(v)=1)."""
-    from .cwweights import MODE_TIGHT, Rank2Weight
-
     h = eta
     lam = {
         "a": c * h ** 3, "b": c * h ** 2, "c": c * h,

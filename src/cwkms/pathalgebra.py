@@ -21,12 +21,14 @@ with the boundary graph carrying (lam, eta o face) as its weight.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Oriented2Complex, boundary_graph
 from .cwweights import Rank2Weight
-from .errors import GraphMismatch, InputError, NonpositiveWeight
+from .errors import GraphMismatch, InputError, MissingValue, NonpositiveWeight
 from .exact import scalar_sign, scalar_to_float
 from .graphs import DirectedGraph
 from .solver import GraphWeight
@@ -244,9 +246,6 @@ def _power_it(ratio, t):
             for _ in range(-n):
                 out = out * ratio
             return 1 / out
-    import cmath
-    import math
-
     return cmath.exp(1j * tc * math.log(scalar_to_float(ratio)))
 
 
@@ -278,16 +277,12 @@ class Rank2Functional:
 
 
 def functional_from_graph_weight(graph: DirectedGraph, w: GraphWeight, beta_sign: int = -1) -> WeightFunctional:
-    from .errors import MissingValue
-
     if not w.is_total_on(graph):
         raise MissingValue("weight is not total on the graph")
     return WeightFunctional(graph, w, beta_sign)
 
 
 def functional_from_rank2(c: Oriented2Complex, w: Rank2Weight, beta_sign: int = -1) -> Rank2Functional:
-    from .errors import MissingValue
-
     if not w.is_total_on(c):
         raise MissingValue("rank-2 weight is not total on the complex")
     bg = boundary_graph(c)

@@ -4,15 +4,18 @@ A graph weight is a pair of functions (g on vertices, lambda on edges) with
 
     g(v) = sum over edges e leaving v of lambda(e) * g(dst(e))
 
-at every non-sink vertex.  For constant lambda the solvability question
-reduces to a one-parameter determinant: build the matrix
+at every non-sink vertex.  One builder, ``boundary_matrix``, writes every
+such equation as the matrix
 
-    M = (lambda * m_ij) - (I_r (+) 0)
+    M = W - I_r,    W_ij = sum of lambda over the edges v_i -> v_j,
 
-acting on vertex vectors (m_ij = edge multiplicities, identity block only on
-non-sink rows), take its exact determinant as a polynomial in lambda, isolate
-the positive roots in increasing order, and decide at each root whether the
-kernel holds a strictly positive vector.
+acting on vertex vectors, with the identity only on non-sink rows.  For
+constant lambda the solvability question reduces to a one-parameter
+determinant: take det(lambda*A - I_r) exactly as a polynomial in lambda
+(A = edge multiplicities; ``pencil_determinant`` builds it from the rows
+of ``boundary_matrix``), isolate the positive roots in increasing order, and
+decide at each root whether the kernel of ``boundary_matrix`` at that root
+holds a strictly positive vector.
 
 A sink makes the determinant vanish identically, so otherwise M is
 lambda*A - I with A >= 0 and a positive kernel vector is a positive
@@ -38,14 +41,16 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
-    _as_fraction,
+    as_fraction,
     det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
+    scalar_abs_leq,
+    scalar_eq,
     scalar_sign,
     scalar_to_float,
 )
-from .graphs import DirectedGraph, adjacency_counts
+from .graphs import DirectedGraph
 
 DEFAULT_TOL = Fraction(1, 10**10)
 DEFAULT_EPS = Fraction(1, 10**14)
@@ -74,27 +79,12 @@ class GraphWeight:
 
     def special_on(self, graph: DirectedGraph) -> bool:
         vals = [self.lam[e.id] for e in graph.edges]
-        return all(_eq_scalar(v, vals[0]) for v in vals[1:]) if vals else True
+        return all(scalar_eq(v, vals[0]) for v in vals[1:]) if vals else True
 
     def strictly_positive_on(self, graph: DirectedGraph) -> bool:
         return all(scalar_sign(self.g[v]) > 0 for v in graph.vertices) and all(
             scalar_sign(self.lam[e.id]) > 0 for e in graph.edges
         )
-
-
-def _eq_scalar(a, b) -> bool:
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        return scalar_sign(a - b) == 0
-    return a == b
-
-
-def _abs_leq(x, tol: Fraction) -> bool:
-    if isinstance(x, FieldElement):
-        mag = -x if x.sign() < 0 else x
-        return (mag - tol).sign() <= 0
-    if isinstance(x, float):
-        return abs(x) <= float(tol)
-    return abs(x) <= tol
 
 
 @dataclass
@@ -126,7 +116,7 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
             e.id for e in graph.edges if e.id not in w.lam
         ]
         raise MissingValue(f"weight not total on graph, missing {missing}")
-    tol = _as_fraction(tol)
+    tol = as_fraction(tol)
     residuals = {}
     passed = True
     exact = True
@@ -138,7 +128,7 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
         r = w.g[v] - acc
         if isinstance(r, float):
             exact = False
-        if not _abs_leq(r, tol):
+        if not scalar_abs_leq(r, tol):
             passed = False
         residuals[v] = abs(scalar_to_float(r))
     maxr = max(residuals.values(), default=0.0)
@@ -157,70 +147,51 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
 # Boundary matrix and determinant
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundaryMatrix:
-    """Matrix of the weight equation in the stable vertex order.
+def boundary_matrix(graph: DirectedGraph, lam) -> list[list]:
+    """Rows of the weight-equation matrix W - I_r in the stable vertex order.
 
-    In special mode the entries are polynomials in the constant edge weight;
-    in general mode they are scalars obtained from a total edge-weight map.
-    Rows of sinks are identically zero.
-    """
-
-    vertices: tuple[str, ...]
-    entries: list[list]
-    sink_rows: frozenset[int]
-    mode: str
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def boundary_matrix(graph: DirectedGraph, mode: str = "special", lam: dict | None = None) -> BoundaryMatrix:
-    """``special`` builds (lambda*m_ij) - (I_r (+) 0) over the polynomial
-    ring; ``general`` sums a given lambda over parallel edges instead."""
-    counts = adjacency_counts(graph)
-    n = len(graph.vertices)
-    sink_rows = frozenset(i for i, v in enumerate(graph.vertices) if graph.is_sink(v))
-    if mode == "special":
-        entries: list[list] = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                const = Fraction(-1) if (i == j and i not in sink_rows) else Fraction(0)
-                row.append(Poly([const, Fraction(counts[i][j])]))
-            entries.append(row)
-        return BoundaryMatrix(graph.vertices, entries, sink_rows, "special")
-    if mode == "general":
-        if lam is None:
-            raise MissingValue("general mode requires a lambda mapping")
+    Entry (i, j) of W sums ``lam`` over the edges v_i -> v_j, and I_r is the
+    identity on the non-sink rows, so sink rows are zero.  ``lam`` maps edge
+    ids to values, or is one value for every edge.  Zero cells are 0 times
+    the first edge value, so that every entry has the values' type."""
+    if isinstance(lam, dict):
         missing = [e.id for e in graph.edges if e.id not in lam]
         if missing:
             raise MissingValue(f"lambda not total, missing {missing}")
-        index = {v: i for i, v in enumerate(graph.vertices)}
-        acc: list[list] = [[None] * n for _ in range(n)]
-        for e in graph.edges:
-            i, j = index[e.src], index[e.dst]
-            acc[i][j] = lam[e.id] if acc[i][j] is None else acc[i][j] + lam[e.id]
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = acc[i][j] if acc[i][j] is not None else Fraction(0)
-                if i == j and i not in sink_rows:
-                    val = val - 1
-                row.append(val)
-            entries.append(row)
-        return BoundaryMatrix(graph.vertices, entries, sink_rows, "general")
-    raise ValueError(f"unknown mode {mode!r}")
+        values = [lam[e.id] for e in graph.edges]
+    else:
+        values = [lam] * len(graph.edges)
+    n = len(graph.vertices)
+    zero = values[0] * 0 if values else Fraction(0)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    rows = [[zero] * n for _ in range(n)]
+    for e, x in zip(graph.edges, values):
+        row, j = rows[index[e.src]], index[e.dst]
+        row[j] = row[j] + x
+    for i, v in enumerate(graph.vertices):
+        if not graph.is_sink(v):
+            rows[i][i] = rows[i][i] - 1
+    return rows
 
 
-def det_polynomial(m: BoundaryMatrix) -> Poly:
-    """Exact determinant of a special-mode matrix.  Its entries have
+def pencil_determinant(graph: DirectedGraph, lam) -> Poly:
+    """det(x*W - I_r) as a polynomial in x, for the rows W - I_r of
+    ``boundary_matrix(graph, lam)``.  Both coefficients of every entry have
+    the rows' scalar type, so integer rows take the modular determinant and
+    number-field rows keep number-field coefficients."""
+    rows = boundary_matrix(graph, lam)
+    zero = rows[0][0] * 0 if rows else None
+    pencil = [[Poly([zero, x]) for x in row] for row in rows]
+    for i, v in enumerate(graph.vertices):
+        if not graph.is_sink(v):
+            pencil[i][i] = Poly([zero - 1, rows[i][i] + 1])
+    return det_bareiss_poly(pencil)
+
+
+def det_polynomial(graph: DirectedGraph) -> Poly:
+    """det(lambda*A - I_r) for the adjacency counts A.  Its entries have
     integer coefficients, so ``det_bareiss_poly`` takes its modular path."""
-    if m.mode != "special":
-        raise ValueError("det_polynomial expects a special-mode matrix")
-    return det_bareiss_poly(m.entries)
+    return pencil_determinant(graph, Fraction(1))
 
 
 def positive_roots(p: Poly, eps=DEFAULT_EPS) -> list[AlgebraicScalar]:
@@ -401,33 +372,6 @@ def _divide_content(row: list) -> list:
     return [x * scale for x in row]
 
 
-def evaluate_special_matrix(graph: DirectedGraph, value) -> list[list]:
-    """The special-mode matrix with the constant edge weight substituted.
-
-    Rational values give Fraction entries; an algebraic value gives entries
-    in the number field generated by its minimal polynomial.
-    """
-    counts = adjacency_counts(graph)
-    n = len(graph.vertices)
-    sink = set(i for i, v in enumerate(graph.vertices) if graph.is_sink(v))
-    if isinstance(value, AlgebraicScalar) and not value.is_rational:
-        lam = value.number_field().gen()
-    elif isinstance(value, AlgebraicScalar):
-        lam = value.rational
-    else:
-        lam = value
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = lam * counts[i][j]
-            if i == j and i not in sink:
-                x = x - 1
-            row.append(x)
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Full classification pipeline
 # ---------------------------------------------------------------------------
@@ -457,22 +401,21 @@ class SpecialWeightReport:
 def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeightReport:
     """Classify constant-edge-weight solutions of the weight equation.
 
-    Pipeline: boundary matrix in special mode, exact determinant, positive
-    roots, positive kernel at the smallest root; the other roots are "none"
-    by Perron-Frobenius (module docstring).  A graph with no non-sink vertices
-    imposes no equations at all ("unconstrained"); a determinant that
-    vanishes identically (possible when sinks are present) is reported as
-    "degenerate" since roots no longer classify anything.
+    Pipeline: exact determinant, positive roots, positive kernel at the
+    smallest root; the other roots are "none" by Perron-Frobenius (module
+    docstring).  A graph with no non-sink vertices imposes no equations at
+    all ("unconstrained"); a determinant that vanishes identically (possible
+    when sinks are present) is reported as "degenerate" since roots no
+    longer classify anything.
     """
     if not graph.non_sinks():
         return SpecialWeightReport("unconstrained", graph.vertices, None, [])
-    m = boundary_matrix(graph, "special")
-    det = det_polynomial(m)
+    det = det_polynomial(graph)
     if det.is_zero():
         return SpecialWeightReport("degenerate", graph.vertices, det, [])
     families = []
     for k, root in enumerate(positive_roots(det, eps)):
-        rows = evaluate_special_matrix(graph, root)
+        rows = boundary_matrix(graph, root.exact_value())
         kr = positive_kernel(rows) if k == 0 else KernelResult("none", None, rows)
         families.append(SpecialWeightFamily(eta=root, kernel=kr, faithful=kr.status == "positive"))
     return SpecialWeightReport("ok", graph.vertices, det, families)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .complexes import Face, Oriented2Complex, build_complex
 from .cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight, verify_rank2
 from .errors import BadEmbedding, IncompatibleAttachment, ModeError, NotFaithful
-from .exact import scalar_sign
+from .exact import scalar_eq, scalar_sign
 from .graphs import DirectedGraph, Edge, build_graph, spec_id, spec_ids, spec_list, spec_object
 from .solver import DEFAULT_TOL, GraphWeight
 
@@ -415,8 +415,6 @@ def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_
     g_inv = {v: 1 / g[v] for v in {e.dst for e in fd.skeleton.edges}}
     lt = {e.id: lam[e.id] * g_inv[e.dst] for e in fd.skeleton.edges}
 
-    from .solver import _eq_scalar
-
     eta_instances: dict = {}
     eta: dict = {}
     lam_inv: dict = {}  # of the shared edges met in face words
@@ -437,7 +435,7 @@ def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_
                 val = val * w.lam[orig_face.boundary[(k + 1) % n]] * lam_inv[next_name]
             eta_instances[(f.id, k)] = val
             vals.append(val)
-        if vals and all(_eq_scalar(v, vals[0]) for v in vals[1:]):
+        if vals and all(scalar_eq(v, vals[0]) for v in vals[1:]):
             eta[f.id] = vals[0]
     return Rank2Weight(
         g=g,

@@ -247,35 +247,32 @@ class TestTriangular:
 
     def test_gamma_system_rank_is_six(self, gamma_complex):
         # at the surviving root the boundary system drops rank by exactly one
-        from cwkms.solver import evaluate_special_matrix
         from cwkms.exact import kernel_basis_exact
 
         bg = boundary_graph(gamma_complex)
-        rows = evaluate_special_matrix(bg.graph, F(1, 3))
+        rows = boundary_matrix(bg.graph, F(1, 3))
         basis = kernel_basis_exact(rows)
         assert len(basis) == 1  # rank 6 out of 7
 
     def test_sum_identity_symbolically(self, gamma_complex):
-        # summing all rows of the special boundary matrix gives the same
-        # polynomial (3*eta - 1) in every column, so any solution satisfies
-        # sum(lam) = 3 eta sum(lam)
+        # summing all rows of the boundary matrix at eta gives the same
+        # value 3*eta - 1 in every column, so any solution satisfies
+        # sum(lam) = 3 eta sum(lam); the entries are affine in eta, so two
+        # values of eta fix them as polynomials
         bg = boundary_graph(gamma_complex)
-        m = boundary_matrix(bg.graph, "special")
-        n = len(m.entries)
-        for j in range(n):
-            colsum = Poly([])
-            for i in range(n):
-                colsum = colsum + m.entries[i][j]
-            assert colsum == Poly.from_ints([-1, 3])
+        for eta in (F(1), F(2)):
+            rows = boundary_matrix(bg.graph, eta)
+            for j in range(len(rows)):
+                assert sum(row[j] for row in rows) == 3 * eta - 1
 
     def test_transpose_duality(self, gamma_complex, figb):
         for c in (gamma_complex,):
-            det_a = det_polynomial(boundary_matrix(boundary_graph(c).graph, "special"))
-            det_b = det_polynomial(boundary_matrix(predecessor_graph(c).graph, "special"))
+            det_a = det_polynomial(boundary_graph(c).graph)
+            det_b = det_polynomial(predecessor_graph(c).graph)
             assert det_a == det_b
         # duality holds for non-triangular complexes too
-        det_a = det_polynomial(boundary_matrix(boundary_graph(figb).graph, "special"))
-        det_b = det_polynomial(boundary_matrix(predecessor_graph(figb).graph, "special"))
+        det_a = det_polynomial(boundary_graph(figb).graph)
+        det_b = det_polynomial(predecessor_graph(figb).graph)
         assert det_a == det_b
 
     def test_monogon_triangle(self):

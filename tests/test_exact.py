@@ -351,13 +351,13 @@ class TestDeterminants:
         import random
 
         from cwkms.graphs import build_graph
-        from cwkms.solver import boundary_matrix, det_polynomial
+        from cwkms.solver import det_polynomial
 
         words = ["".join(w) for w in itertools.product("01", repeat=6)]
         edges = [{"id": f"{w}>{s}", "src": w, "dst": w[1:] + s} for w in words for s in "01"]
         random.Random(seed).shuffle(words)
         graph = build_graph({"vertices": words, "edges": edges})
-        assert det_polynomial(boundary_matrix(graph)) == Poly.from_ints([1, -2])
+        assert det_polynomial(graph) == Poly.from_ints([1, -2])
 
     def test_kernel_basis(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(0), F(0)], [F(1), F(1), F(0)]]
@@ -402,6 +402,16 @@ def test_small_irrational_root_keeps_its_significant_digits():
     assert f"{root.to_float():.15g}" == "1.4142135623731e-07"
     x = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]), 1e-14)[0].number_field().gen()
     assert abs(x.to_float() / (2**0.5 * 1e-7) - 1) < 1e-14
+    assert f"{scalar_to_float(x):.15g}" == "1.4142135623731e-07"
+
+
+def test_decimal_of_one_over_sqrt2_rounds_its_15th_digit():
+    # 1/sqrt(2) = 0.70710678118654752...
+    for poly in (Poly.from_ints([-1, 0, 2]), Poly.from_ints([-1, -1, 0, 2, 4])):
+        root = isolate_positive_roots(poly, 1e-14)[0]
+        assert f"{root.to_float():.15g}" == "0.707106781186548"
+        x = isolate_positive_roots(poly, 1e-14)[0].exact_value()
+        assert f"{scalar_to_float(x):.15g}" == "0.707106781186548"
 
 
 def test_to_float_of_an_exact_zero_terminates():

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 import cwkms
 from cwkms.complexes import boundary_graph
 from cwkms.errors import MissingValue
-from cwkms.exact import Poly, kernel_basis_exact, scalar_sign, scalar_to_float
+from cwkms.exact import Poly, isolate_positive_roots, kernel_basis_exact, scalar_sign, scalar_to_float
 from cwkms.graphs import build_graph
 from cwkms.solver import (
     GraphWeight,
     boundary_matrix,
     det_polynomial,
-    evaluate_special_matrix,
     positive_kernel,
     positive_roots,
     solve_special_weights,
@@ -29,6 +28,8 @@ from cwkms.solver import (
 )
 
 from .conftest import random_graph
+
+SQRT2 = isolate_positive_roots(Poly.from_ints([-2, 0, 1]), F(1, 10**6))[0]
 
 LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
 TWO_CYCLES = {
@@ -82,19 +83,18 @@ class TestVerify:
 
 class TestBoundaryMatrix:
     def test_loop_special(self):
-        m = boundary_matrix(build_graph(LOOP), "special")
-        assert m.entries[0][0] == Poly.from_ints([-1, 1])
-        assert det_polynomial(m) == Poly.from_ints([-1, 1])
+        g = build_graph(LOOP)
+        assert boundary_matrix(g, F(3)) == [[F(2)]]
+        assert det_polynomial(g) == Poly.from_ints([-1, 1])
 
     def test_figb_boundary_det(self, figb_boundary):
-        m = boundary_matrix(figb_boundary.graph, "special")
-        det = det_polynomial(m)
+        det = det_polynomial(figb_boundary.graph)
         target = Poly.from_ints([1, 0, 0, -1, -1])
         assert det == target or det == -target
 
     def test_gamma_det_factors(self, gamma_complex):
         bg = boundary_graph(gamma_complex)
-        det = det_polynomial(boundary_matrix(bg.graph, "special"))
+        det = det_polynomial(bg.graph)
         expected = (
             Poly.from_ints([-1, 3])
             * Poly.from_ints([1, 1, 2])
@@ -105,9 +105,8 @@ class TestBoundaryMatrix:
 
     def test_sink_rows_are_zero(self):
         g = build_graph({"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}]})
-        m = boundary_matrix(g, "special")
-        assert m.sink_rows == frozenset({1})
-        assert all(p.is_zero() for p in m.entries[1])
+        rows = boundary_matrix(g, F(5))
+        assert rows == [[F(-1), F(5)], [F(0), F(0)]]
 
     def test_general_mode_sums_parallel_edges(self):
         g = build_graph({
@@ -118,11 +117,65 @@ class TestBoundaryMatrix:
                 {"id": "f", "src": "b", "dst": "a"},
             ],
         })
-        m = boundary_matrix(g, "general", lam={"e1": F(1, 3), "e2": F(1, 6), "f": F(2)})
-        assert m.entries[0][1] == F(1, 2)
-        assert m.entries[0][0] == F(-1)
+        rows = boundary_matrix(g, {"e1": F(1, 3), "e2": F(1, 6), "f": F(2)})
+        assert rows[0][1] == F(1, 2)
+        assert rows[0][0] == F(-1)
         with pytest.raises(MissingValue):
-            boundary_matrix(g, "general", lam={"e1": F(1)})
+            boundary_matrix(g, {"e1": F(1)})
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_dense_reference(self, data):
+        """Random multigraphs with sinks, self-loops and parallel edges, under
+        Fraction, Q(sqrt 2) and float edge maps and one constant value."""
+        n = data.draw(st.integers(1, 5))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+        vertices = [f"v{i}" for i in range(n)]
+        edges = [{"id": f"e{k}", "src": vertices[i], "dst": vertices[j]} for k, (i, j) in enumerate(pairs)]
+        graph = build_graph({"vertices": vertices, "edges": edges})
+        rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        kind = data.draw(st.sampled_from(["fraction", "sqrt2", "float", "constant"]))
+        if kind == "fraction":
+            lam = {e["id"]: data.draw(rational) for e in edges}
+        elif kind == "sqrt2":
+            r2 = SQRT2.exact_value()
+            lam = {e["id"]: data.draw(rational) + data.draw(rational) * r2 for e in edges}
+        elif kind == "float":
+            lam = {e["id"]: data.draw(st.floats(-5, 5)) for e in edges}
+        else:
+            lam = data.draw(rational)
+        value = lam.get if isinstance(lam, dict) else lambda eid: lam
+        zero = value(edges[0]["id"]) * 0 if edges else F(0)
+        reference = []
+        for vi in vertices:
+            out = [e for e in edges if e["src"] == vi]
+            row = []
+            for vj in vertices:
+                x = zero
+                for e in out:
+                    if e["dst"] == vj:
+                        x = x + value(e["id"])
+                row.append(x - 1 if vi == vj and out else x)
+            reference.append(row)
+        rows = boundary_matrix(graph, lam)
+        assert rows == reference
+        assert all(type(x) is type(zero) for row in rows for x in row)
+
+    def test_det_polynomial_takes_the_modular_path(self, monkeypatch, figb_boundary):
+        import cwkms.exact
+
+        sizes = []
+        modular = cwkms.exact._det_poly_modular
+
+        def spy(ints):
+            sizes.append(len(ints))
+            return modular(ints)
+
+        monkeypatch.setattr(cwkms.exact, "_det_poly_modular", spy)
+        det = det_polynomial(figb_boundary.graph)
+        assert sizes == [6]
+        assert det in (Poly.from_ints([1, 0, 0, -1, -1]), Poly.from_ints([-1, 0, 0, 1, 1]))
+        assert all(type(c) is F for c in det.coeffs)
 
     def test_det_matches_numeric_on_random_graphs(self):
         """Dual route: the determinant polynomial evaluated at a rational
@@ -134,10 +187,9 @@ class TestBoundaryMatrix:
         checked = 0
         while checked < 20:
             g = random_graph(rng, n_max=8)
-            m = boundary_matrix(g, "special")
-            det = det_polynomial(m)
+            det = det_polynomial(g)
             lam = F(rng.randint(1, 9), rng.randint(1, 9))
-            rows = evaluate_special_matrix(g, lam)
+            rows = boundary_matrix(g, lam)
             sym = det(lam) if not det.is_zero() else F(0)
             assert sym == det_exact(rows)
             a = np.array([[float(x) for x in row] for row in rows])
@@ -277,7 +329,7 @@ class TestSolvePipeline:
         for _ in range(12):
             g = random_graph(rng, n_max=4, allow_sinks=False)
             for lam in grid:
-                rows = evaluate_special_matrix(g, lam)
+                rows = boundary_matrix(g, lam)
                 res = positive_kernel(rows)
                 basis = kernel_basis_exact(rows)
                 oracle = _positive_exists_bruteforce(basis)
@@ -382,7 +434,7 @@ class TestPerronFrobenius:
             rep = solve_special_weights(graph)
             assert [f.kernel.status for f in rep.families] == ["positive"] + ["none"] * (len(rep.families) - 1)
             fam = rep.families[0]
-            rows = evaluate_special_matrix(graph, fam.eta)
+            rows = boundary_matrix(graph, fam.eta.exact_value())
             _assert_positive_kernel_vector(rows, fam.kernel.positive)
             a = _adjacency(graph)
             vals, vecs = np.linalg.eig(a)
@@ -410,7 +462,7 @@ class TestPerronFrobenius:
             assert abs(rep.families[0].eta.to_float() - 1 / rho) < 1e-9
             assert statuses == ["positive" if expected else "none"] + ["none"] * (len(statuses) - 1)
             if expected:
-                rows = evaluate_special_matrix(graph, rep.families[0].eta)
+                rows = boundary_matrix(graph, rep.families[0].eta.exact_value())
                 _assert_positive_kernel_vector(rows, rep.families[0].kernel.positive)
         assert seen[True] and seen[False]
 
@@ -436,7 +488,7 @@ class TestPerronFrobenius:
             assert abs(fam.eta.to_float() - 2 / (1 + 5 ** 0.5)) < 1e-12
             assert (fam.kernel.status, fam.kernel.dim) == (status, 2)
             if status == "positive":
-                _assert_positive_kernel_vector(evaluate_special_matrix(graph, fam.eta), fam.kernel.positive)
+                _assert_positive_kernel_vector(boundary_matrix(graph, fam.eta.exact_value()), fam.kernel.positive)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
