@@ -12,15 +12,16 @@ Solvers run top down: classify special (constant eta) weights on the
 boundary graph first, then lift each family to the skeleton.  The standard
 lift is explicit, g(v) = sum of lam over the bundle at v; the tight lift
 introduces a scale parameter on lam and classifies it through a second
-determinant polynomial.
+determinant polynomial.  Its two float fallbacks, the scale determinant of
+float lam values and the numeric roots of one with number-field
+coefficients, import numpy themselves, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .complexes import Oriented2Complex, boundary_graph, predecessor_graph
 from .errors import InputError, MissingValue, ModeError, NonTriangularFace
@@ -277,6 +278,8 @@ def scale_determinant(graph: DirectedGraph, lam0: dict) -> Poly:
 
 
 def _scale_determinant_float(graph: DirectedGraph, lam0: dict) -> Poly:
+    import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
+
     index = {v: i for i, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
     a = np.zeros((n, n))
@@ -296,6 +299,8 @@ def _poly_positive_roots_numeric(p: Poly) -> list[float]:
     evaluation."""
     if p.degree < 1:
         return []
+    import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
+
     coeffs = [scalar_to_float(cv) for cv in p.coeffs]
     roots = np.roots(list(reversed(coeffs)))
     out = []

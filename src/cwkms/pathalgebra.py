@@ -139,17 +139,17 @@ def monomial_product(a: PathMonomial, b: PathMonomial) -> list[PathMonomial]:
     if a.graph is not b.graph and a.graph != b.graph:
         raise GraphMismatch("monomials over different graphs")
     g = a.graph
-    coeff = a.coeff * b.coeff
-    if coeff == 0:
-        return []
     nu, alpha = a.nu, b.mu
     if _is_prefix(nu, alpha):
         rest = Path(path_range(g, nu), alpha.edges[len(nu.edges):])
-        return [PathMonomial(g, _concat(g, a.mu, rest), b.nu, coeff)]
-    if _is_prefix(alpha, nu):
+        mu, nu = _concat(g, a.mu, rest), b.nu
+    elif _is_prefix(alpha, nu):
         rest = Path(path_range(g, alpha), nu.edges[len(alpha.edges):])
-        return [PathMonomial(g, a.mu, _concat(g, b.nu, rest), coeff)]
-    return []
+        mu, nu = a.mu, _concat(g, b.nu, rest)
+    else:
+        return []
+    coeff = a.coeff * b.coeff
+    return [PathMonomial(g, mu, nu, coeff)] if coeff != 0 else []
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,8 @@ lambda = 1/rho(A), the smallest positive root, can have one; every other
 root is "none".  There ``positive_kernel`` decides exactly, by signs for a
 kernel line and by an exact simplex in dimension >= 2.  Kernel bases are
 exact and lazy; floats appear only in reports and in the SVD fallback for
-numeric matrices, whose bases of dimension >= 2 are "undetermined".
+numeric matrices, whose bases of dimension >= 2 are "undetermined".  That
+fallback imports numpy itself, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-import numpy as np
 
 from .errors import InputError, MissingValue, ZeroDivisor
 from .exact import (
@@ -293,6 +292,8 @@ def positive_kernel(rows) -> KernelResult:
 
 def _kernel_basis_svd(rows) -> list[list[float]]:
     """Numeric near-null-space basis; handles rectangular (stacked) systems."""
+    import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
+
     a = np.array([[scalar_to_float(x) for x in row] for row in rows], dtype=float)
     ncols = a.shape[1]
     _, s, vt = np.linalg.svd(a)

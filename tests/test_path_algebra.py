@@ -72,16 +72,21 @@ class TestProducts:
 
     def test_prefix_extension(self, figb):
         sk = figb.skeleton
-        m1 = monomial(sk, ["a"], ["a"])
-        m2 = monomial(sk, ["a", "b"], [])
+        m1 = monomial(sk, ["a"], ["a"], coeff=F(2))
+        m2 = monomial(sk, ["a", "b"], [], coeff=F(3))
         out = monomial_product(m1, m2)
-        assert out[0].mu.edges == ("a", "b") and out[0].nu.edges == ()
+        assert out[0].mu.edges == ("a", "b") and out[0].nu.edges == () and out[0].coeff == 6
+        out = monomial_product(m2.star(), m1)  # nu = ab extends alpha = a
+        assert out[0].mu.edges == () and out[0].nu.edges == ("a", "b") and out[0].coeff == 6
 
     def test_divergent_paths_vanish(self, figb):
         sk = figb.skeleton
         sa = edge_isometry(sk, "a")
         se = edge_isometry(sk, "e")
         assert monomial_product(sa.star(), se) == []
+        # a zero coefficient vanishes with comparable and with incomparable paths
+        assert monomial_product(sa.star().scaled(0), sa) == []
+        assert monomial_product(sa.star().scaled(0), se) == []
 
     def test_graph_mismatch(self, figb, figb_boundary):
         a = vertex_projection(figb.skeleton, "u")

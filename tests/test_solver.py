@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -508,14 +509,57 @@ class TestPerronFrobenius:
             assert res.status == "positive"
 
     def test_solver_does_not_import_scipy(self):
-        # two disjoint 2-cycles: a two-dimensional kernel at the Perron root
-        code = (
-            "import sys; import cwkms; "
-            "fam = cwkms.solve_special_weights(cwkms.build_graph({spec!r})).families[0]; "
-            "print(fam.kernel.status, fam.kernel.dim, 'scipy' in sys.modules)"
+        # numpy stays out too: the CLI, figB's fixture and boundary graph, and
+        # two disjoint 2-cycles (a two-dimensional kernel at the Perron root)
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import cwkms, cwkms.cli
+            from cwkms.fixtures import fig_b_complex
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cwkms.cli.main(["fixtures", "figB"]) == 0
+            assert '"faces"' in out.getvalue()
+            fams = cwkms.solve_special_weights(cwkms.boundary_graph(fig_b_complex()).graph).families
+            assert [f.kernel.status for f in fams] == ["positive"]
+            fam = cwkms.solve_special_weights(cwkms.build_graph({spec!r})).families[0]
+            print(fam.kernel.status, fam.kernel.dim, "numpy" in sys.modules, "scipy" in sys.modules)
+            """
         ).format(spec=TWO_CYCLES)
-        src = str(Path(cwkms.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["positive", "2", "False"]
+        out = _run_fresh(code)
+        assert out.split() == ["positive", "2", "False", "False"]
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            # the SVD of a rank-one matrix: its kernel line is +-(1, 1)/sqrt(2)
+            ("[abs(x) for x in solver._kernel_basis_svd([[1, -1], [-1, 1]])[0]]", [0.5**0.5] * 2),
+            # det(C * 0.5 - 1) on one loop, from a float lambda value
+            (f"cwweights._scale_determinant_float(build_graph({LOOP!r}), {{'e': 0.5}}).coeffs", [-1.0, 0.5]),
+            # np.roots on x^2 - 2 with float coefficients
+            ("cwweights._poly_positive_roots_numeric(Poly([-2.0, 0.0, 1.0]))", [2**0.5]),
+        ],
+    )
+    def test_each_float_fallback_imports_numpy_itself(self, call, expected):
+        # a fresh interpreter has no numpy until the fallback imports it, and
+        # there is no module-level ``np``, so a fallback without its import fails
+        code = textwrap.dedent(
+            """
+            import sys
+            from cwkms import cwweights, solver
+            from cwkms.exact import Poly
+            from cwkms.graphs import build_graph
+            assert "numpy" not in sys.modules
+            print(repr(CALL))
+            assert "numpy" in sys.modules
+            """
+        ).replace("CALL", call)
+        assert eval(_run_fresh(code)) == pytest.approx(expected, abs=1e-9)
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this checkout's cwkms."""
+    src = str(Path(cwkms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
