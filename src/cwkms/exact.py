@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: polynomials, real algebraic numbers, number fields.
 
-Everything here works over ``fractions.Fraction`` (or over elements of a
-``NumberField``, which themselves reduce to Fraction arithmetic), so results
-are exact and deterministic.  Floating point enters only through the
-``to_float`` conversions used at report time.
+Everything here works over ``fractions.Fraction`` or over elements of a
+``NumberField`` Q[x]/(m), each held as integer numerators over one positive
+integer denominator, so results are exact and deterministic.  Floating point
+enters only through the ``to_float`` conversions used at report time.
 
 The root machinery follows the classical exact recipe: square-free reduction
 by gcd, Sturm sequences for root counting, and interval bisection for
@@ -160,23 +160,9 @@ class Poly:
         return acc
 
     def interval_eval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """Exact interval-arithmetic enclosure of self over [lo, hi].
-
-        Horner in integers: coefficients over a common denominator, lo and hi
-        over d, so after k steps both bounds are integers over den * d**k."""
-        if not self.coeffs:
-            return Fraction(0), Fraction(0)
-        nums, den = _int_numerators(self.coeffs)
-        nums.reverse()
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        vlo = vhi = nums[0]
-        scale = 1
-        for n in nums[1:]:
-            scale *= d
-            cands = (vlo * a, vlo * b, vhi * a, vhi * b)
-            vlo, vhi = min(cands) + n * scale, max(cands) + n * scale
-        return Fraction(vlo, den * scale), Fraction(vhi, den * scale)
+        """Exact interval-arithmetic enclosure of self over [lo, hi]."""
+        vlo, vhi, s = _horner_enclosure(*_int_numerators(self.coeffs), lo, hi)
+        return Fraction(vlo, s), Fraction(vhi, s)
 
     def primitive(self) -> "Poly":
         """Integer-primitive form with positive leading coefficient.
@@ -246,8 +232,25 @@ def _int_numerators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _horner_enclosure(nums, den: int, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """Interval Horner for sum(nums[i] * x**i) / den over [lo, hi], in
+    integers: lo and hi over d, so after k steps both bounds are integers
+    over den * d**k.  Returns (vlo, vhi, s): the range is in [vlo/s, vhi/s]."""
+    if not nums:
+        return 0, 0, den
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    vlo = vhi = nums[-1]
+    scale = 1
+    for n in nums[-2::-1]:
+        scale *= d
+        cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+        vlo, vhi = min(cands) + n * scale, max(cands) + n * scale
+    return vlo, vhi, den * scale
+
+
 def _is_zero(c) -> bool:
-    return c.rep.is_zero() if isinstance(c, FieldElement) else c == 0
+    return c.is_zero() if isinstance(c, FieldElement) else c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +328,9 @@ class AlgebraicScalar:
         if self.is_rational:
             return Fraction(0)
         return self.hi - self.lo
+
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        return (self.rational, self.rational) if self.is_rational else (self.lo, self.hi)
 
     def refine(self, eps) -> "AlgebraicScalar":
         """Narrow the isolating interval below ``eps`` > 0 (no-op for rationals)."""
@@ -492,34 +498,67 @@ class NumberField:
         self.modulus_ints = [int(c) for c in self.modulus.coeffs]
 
     def element(self, coeffs) -> "FieldElement":
-        rep = coeffs if isinstance(coeffs, Poly) else Poly([as_fraction(c) for c in coeffs])
-        return FieldElement(self, rep.divmod(self.modulus)[1])
+        cs = coeffs.coeffs if isinstance(coeffs, Poly) else [as_fraction(c) for c in coeffs]
+        return self._reduce(*_int_numerators(cs))
 
-    def from_rational(self, r) -> "FieldElement":
-        return self.element([as_fraction(r)])
+    def _reduce(self, nums: list[int], den: int) -> "FieldElement":
+        """nums/den with nums reduced by integer pseudo-division by the
+        primitive modulus: s * nums = q * m + rem, and rem over den * s."""
+        m = self.modulus_ints
+        d, lead = len(m) - 1, m[-1]
+        for k in range(len(nums) - 1, d - 1, -1):
+            if nums[k]:
+                t = lead // _int_gcd(nums[k], lead)
+                if t > 1:
+                    nums = [v * t for v in nums[:k + 1]]
+                    den *= t
+                q = nums[k] // lead
+                for i in range(d):
+                    nums[k - d + i] -= q * m[i]
+        return FieldElement.lowest(self, nums[:d], den)
 
     def gen(self) -> "FieldElement":
         return self.element(Poly.x())
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return FieldElement(self, ())
 
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return FieldElement(self, (1,))
 
     def __repr__(self):
         return f"NumberField({self.modulus}, root~{self.root.to_float():.6g})"
 
 
 class FieldElement:
-    """Element of a NumberField, represented by a polynomial of degree
-    < deg(modulus)."""
+    """Element of a NumberField: sum(nums[i] * x**i) / den of degree
+    < deg(modulus), int numerators (ascending, no trailing zero) over one
+    positive int denominator, in lowest terms (Cohen, section 4.2).  ``rep``
+    is the same polynomial with Fraction coefficients, built on first use."""
 
-    __slots__ = ("field", "rep")
+    __slots__ = ("field", "nums", "den", "_rep")
 
-    def __init__(self, field: NumberField, rep: Poly):
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int = 1):
         self.field = field
-        self.rep = rep
+        self.nums = nums
+        self.den = den
+        self._rep = None
+
+    @staticmethod
+    def lowest(field: NumberField, nums: list[int], den: int) -> "FieldElement":
+        while nums and not nums[-1]:
+            nums.pop()
+        g = _int_gcd(den, *nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+            den //= g
+        return FieldElement(field, tuple(nums), den)
+
+    @property
+    def rep(self) -> Poly:
+        if self._rep is None:
+            self._rep = Poly([Fraction(v, self.den) for v in self.nums])
+        return self._rep
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -527,90 +566,83 @@ class FieldElement:
                 raise ValueError("elements of different number fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+            return FieldElement(self.field, (other.numerator,) if other else (), other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.rep + o.rep)
+        g = _int_gcd(self.den, o.den)  # over the lcm of the denominators
+        fa, fb = o.den // g, self.den // g
+        out = [v * fa for v in self.nums] + [0] * (len(o.nums) - len(self.nums))
+        for i, v in enumerate(o.nums):
+            out[i] += v * fb
+        return FieldElement.lowest(self.field, out, self.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.rep)
+        return FieldElement(self.field, tuple(-v for v in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.rep - o.rep)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, o.rep - self.rep)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # integer numerators over one denominator; the remainder is unique,
-        # so this equals the Euclidean remainder of the rational product
-        a, da = _int_numerators(self.rep.coeffs)
-        b, db = _int_numerators(o.rep.coeffs)
+        a, b = self.nums, o.nums
         prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        # pseudo-division by the primitive modulus: s * prod = q * m + rem
-        m = self.field.modulus_ints
-        d, lead, s = len(m) - 1, m[-1], 1
-        for k in range(len(prod) - 1, d - 1, -1):
-            if prod[k]:
-                t = lead // _int_gcd(prod[k], lead)
-                if t > 1:
-                    prod = [v * t for v in prod[:k + 1]]
-                    s *= t
-                q = prod[k] // lead
-                for i in range(d):
-                    prod[k - d + i] -= q * m[i]
-        den = da * db * s
-        return FieldElement(self.field, Poly([Fraction(v, den) for v in prod[:d]]))
+        return self.field._reduce(prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return (self ** (-n)).inverse()
         out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        for _ in range(abs(n)):
+            out = out * self
+        return out if n >= 0 else out.inverse()
 
     def inverse(self) -> "FieldElement":
-        """Extended-Euclid inverse modulo the field polynomial."""
-        if self.rep.is_zero():
+        """Fraction-free (Bareiss) elimination on the integer matrix with
+        columns lead**j * (nums * x**j mod m), singular iff gcd(rep, m) != 1,
+        then back substitution for det * w, det the last pivot: its
+        divisions are exact, since det * w is an integer vector (Cramer)."""
+        if not self.nums:
             raise ZeroDivisionError("inverting zero field element")
-        r0, r1 = self.field.modulus, self.rep
-        s0, s1 = Poly([]), Poly([Fraction(1)])
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ZeroDivisor(f"{self.rep} is a zero divisor modulo {self.field.modulus}")
-        inv_gcd = Fraction(1) / r0.coeffs[0]
-        return FieldElement(self.field, (s0 * inv_gcd).divmod(self.field.modulus)[1])
+        m = self.field.modulus_ints
+        d, lead = len(m) - 1, m[-1]
+        cols = [list(self.nums) + [0] * (d - len(self.nums))]
+        while len(cols) < d:
+            c = cols[-1]  # next: lead * x * c - top * m, of degree < d
+            cols.append([lead * v - c[-1] * mi for v, mi in zip([0] + c[:-1], m)])
+        a = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            piv = next((i for i in range(k, d) if a[i][k]), None)
+            if piv is None:
+                raise ZeroDivisor(f"{self.rep} is a zero divisor modulo {self.field.modulus}")
+            a[k], a[piv] = a[piv], a[k]
+            pivot, p = a[k], prev
+            prev = pivot[k]
+            for row in a[k + 1:]:
+                f = row[k]
+                row[k + 1:] = [(prev * v - f * u) // p for v, u in zip(row[k + 1:], pivot[k + 1:])]
+        w = [0] * d
+        for i in range(d - 1, -1, -1):
+            w[i] = (prev * a[i][d] - sum(a[i][j] * w[j] for j in range(i + 1, d))) // a[i][i]
+        s = self.den if prev > 0 else -self.den
+        return FieldElement.lowest(self.field, [s * v * lead ** j for j, v in enumerate(w)], abs(prev))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -619,38 +651,34 @@ class FieldElement:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __eq__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self.rep == o.rep
+        return NotImplemented if o is None else self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.field), self.rep.coeffs))
+        return hash((id(self.field), self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return self.rep.is_zero()
+        return not self.nums
 
     def sign(self) -> int:
         """Exact sign of the element under the designated real embedding:
         by its integer interval enclosure first, by a gcd with the modulus
         once the enclosure contains 0, then by refining the interval."""
-        if self.rep.is_zero():
+        if not self.nums:
             return 0
         root = self.field.root
         gcd_checked = False
         while True:
-            if root.is_rational:
-                v = self.rep(root.rational)
-                return (v > 0) - (v < 0)
-            vlo, vhi = self.rep.interval_eval(root.lo, root.hi)
+            vlo, vhi, _ = _horner_enclosure(self.nums, self.den, *root.bounds())
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
+            if root.is_rational:
+                return 0  # the enclosure at a point is the value
             if not gcd_checked:
                 # A nonzero representative can vanish at the root of a
                 # reducible modulus; its enclosure then contains 0.  The
@@ -668,12 +696,11 @@ class FieldElement:
         if self.sign() == 0:
             return 0.0
         root = self.field.root
-        while not root.is_rational:
-            vlo, vhi = self.rep.interval_eval(root.lo, root.hi)
-            if vhi - vlo <= target * min(abs(vlo), abs(vhi), 1):
-                return float((vlo + vhi) / 2)
+        while True:
+            vlo, vhi, s = _horner_enclosure(self.nums, self.den, *root.bounds())
+            if (vhi - vlo) * target.denominator <= target.numerator * min(abs(vlo), abs(vhi), s):
+                return (vlo + vhi) / (2 * s)
             root.refine(root.width() / 16)
-        return float(self.rep(root.rational))
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -707,8 +734,7 @@ def scalar_eq(a, b) -> bool:
 
 def scalar_abs_leq(x, tol: Fraction) -> bool:
     if isinstance(x, FieldElement):
-        mag = -x if x.sign() < 0 else x
-        return (mag - tol).sign() <= 0
+        return (abs(x) - tol).sign() <= 0
     if isinstance(x, float):
         return abs(x) <= float(tol)
     return abs(x) <= tol

@@ -214,17 +214,16 @@ class WeightFunctional:
     def evolve(self, m: PathMonomial, t) -> PathMonomial:
         """Apply sigma_t; ``t`` may be real or purely imaginary (s*1j with
         integer s keeps exact coefficients)."""
-        ratio = self._positive_ratio(m)
-        return m.scaled(_power_it(ratio, t))
+        self.check_positive(m, set())
+        return m.scaled(_power_it(self.lam_of_path(m.mu) / self.lam_of_path(m.nu), t))
 
-    def _positive_ratio(self, m: PathMonomial):
-        num = self.lam_of_path(m.mu)
-        den = self.lam_of_path(m.nu)
+    def check_positive(self, m: PathMonomial, checked: set) -> None:
+        """Raise NonpositiveWeight unless lambda > 0 on the edges of ``m`` not in ``checked``."""
         for p in (m.mu, m.nu):
             for eid in p.edges:
-                if scalar_sign(self.weight.lam[eid]) <= 0:
+                if (id(self), eid) not in checked and scalar_sign(self.weight.lam[eid]) <= 0:
                     raise NonpositiveWeight(f"lambda({eid}) must be positive for the flow")
-        return num / den
+                checked.add((id(self), eid))
 
 
 def _power_it(ratio, t):
@@ -268,6 +267,10 @@ class Rank2Functional:
             return 0
         v2 = self.boundary.eval(m.boundary_part)
         return v1 * v2
+
+    def check_positive(self, m: Rank2Monomial, checked: set) -> None:
+        self.skeleton.check_positive(m.skeleton_part, checked)
+        self.boundary.check_positive(m.boundary_part, checked)
 
     def evolve(self, m: Rank2Monomial, t) -> Rank2Monomial:
         return Rank2Monomial(
@@ -330,6 +333,13 @@ def _product_eval(psi, x, y):
     return acc
 
 
+def _meets(a, b) -> bool:
+    """Whether the reduced word of a b is non-zero, coefficients aside."""
+    if isinstance(a, Rank2Monomial):
+        return _meets(a.skeleton_part, b.skeleton_part) and _meets(a.boundary_part, b.boundary_part)
+    return _is_prefix(a.nu, b.mu) or _is_prefix(b.mu, a.nu)
+
+
 def _to_complex(v) -> complex:
     if isinstance(v, complex):
         return v
@@ -340,30 +350,34 @@ def kms_check(psi, sample, tol=Fraction(1, 10**10)) -> KMSReport:
     """Check psi(x y) = psi(y sigma_(i beta_sign)(x)) over monomial pairs.
 
     ``sample`` is any iterable of pairs, a generator included.  Within one
-    call sigma is applied once per distinct x: the memo is keyed by
-    ``id(x)`` and the call keeps every x alive, so an id cannot be reused
-    while it runs.  Every x is evolved, including x that only meet y in zero
-    products, so a non-positive lambda raises NonpositiveWeight as when each
-    pair was evolved on its own.  Zero pairs are exact, not approximate:
-    sigma(x) is a nonzero multiple of x, so y x and y sigma(x) vanish
-    together, and a pair whose two values are both 0 has discrepancy 0 and
-    cannot change the maximum; it is counted and not converted to complex.
+    call sigma is applied at most once per distinct x, and only to an x
+    with some y x non-zero: sigma(x) is a nonzero multiple of x, so y x and
+    y sigma(x) vanish together.  The memo is keyed by ``id(x)`` and holds
+    every x, so an id cannot be reused while the call runs.  The sign of
+    lambda is checked once per edge of the x's, so a non-positive lambda
+    raises NonpositiveWeight as when each pair was evolved on its own.  A
+    pair whose two values are both 0 has discrepancy 0 and cannot change
+    the maximum; it is counted and not converted to complex.
     """
     tol_f = float(tol)
     worst = None
     maxd = 0.0
     pairs = 0
     t = 1j * psi.beta_sign
-    evolved: dict = {}
-    alive = []
+    checked: set = set()
+    seen: dict = {}  # id(x) -> [x, sigma(x) or None until a pair needs it]
     for x, y in sample:
         pairs += 1
         lhs = _product_eval(psi, x, y)
-        sx = evolved.get(id(x))
-        if sx is None:
-            sx = evolved[id(x)] = psi.evolve(x, t)
-            alive.append(x)
-        rhs = _product_eval(psi, y, sx)
+        memo = seen.get(id(x))
+        if memo is None:
+            psi.check_positive(x, checked)
+            memo = seen[id(x)] = [x, None]
+        rhs = 0
+        if _meets(y, x):
+            if memo[1] is None:
+                memo[1] = psi.evolve(x, t)
+            rhs = _product_eval(psi, y, memo[1])
         if lhs == 0 and rhs == 0:
             continue
         d = abs(_to_complex(lhs) - _to_complex(rhs))

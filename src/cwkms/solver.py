@@ -365,11 +365,11 @@ def _positive_in_span(basis: list[list]) -> list | None:
 def _divide_content(row: list) -> list:
     """The row divided by the positive rational content of its entries'
     rational coefficients."""
-    coeffs = [c for x in row for c in (x.rep.coeffs if isinstance(x, FieldElement) else (x,))]
-    num = gcd(*(c.numerator for c in coeffs))
+    parts = [(x.nums, x.den) if isinstance(x, FieldElement) else ((x.numerator,), x.denominator) for x in row]
+    num = gcd(*(v for nums, _ in parts for v in nums))
     if num == 0:
         return row
-    scale = Fraction(lcm(*(c.denominator for c in coeffs)), num)
+    scale = Fraction(lcm(*(den for _, den in parts)), num)
     return [x * scale for x in row]
 
 

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,9 @@ class TestNumberField:
         x = ring().gen()
         assert (x - F(9, 8)).sign() == -1
         assert x.field.root.is_rational
+        assert (x - 1).sign() == 0 and (x - 1).to_float() == 0.0
+        assert (x - 1 + F(1, 10**30)).sign() == 1
+        assert (x * F(1, 3)).to_float() == 1 / 3
         assert (ring().gen() * 2).to_float() == 2.0
 
 
@@ -572,3 +576,150 @@ def test_sparse_kernel_raises_on_a_zero_divisor_pivot():
         kernel_basis_exact(rows)
     with pytest.raises(ZeroDivisor):
         _dense_kernel(rows)
+
+
+# ---------------------------------------------------------------------------
+# Integer-backed field elements against Poly-of-Fraction arithmetic mod m
+# ---------------------------------------------------------------------------
+
+ETA_MODULUS = Poly.from_ints([-1, 0, 0, 1, 1])  # x^4 + x^3 - 1
+GAMMA_FACTORS = (Poly.from_ints([-1, 0, 2]), Poly.from_ints([1, 1, 2]))
+REFERENCE_MODULI = {
+    "Q(eta)": ETA_MODULUS,
+    # the square-free, reducible modulus of the gamma boundary golden
+    "gamma boundary": GAMMA_FACTORS[0] * GAMMA_FACTORS[1],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_field(name: str) -> NumberField:
+    m = REFERENCE_MODULI[name]
+    return NumberField(m, isolate_positive_roots(m, F(1, 10**6))[0])
+
+
+def _mod(p: Poly, k: NumberField) -> Poly:
+    return p.divmod(k.modulus)[1]
+
+
+def _euclid_inverse(p: Poly, k: NumberField) -> Poly | None:
+    """Extended Euclid over Q: the inverse of p mod m, None when
+    gcd(p, m) != 1."""
+    r0, r1 = k.modulus, p
+    s0, s1 = Poly([]), Poly.from_ints([1])
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return _mod(s0 * (F(1) / r0.coeffs[0]), k) if r0.degree == 0 else None
+
+
+def _reference_sign(p: Poly, k: NumberField) -> int:
+    """Sign of p at the field's root by Sturm counts and point values: 0 if
+    gcd(p, m) vanishes at the root, else the sign of p at the end of an
+    interval on which p has no root."""
+    if p.is_zero():
+        return 0
+    root = k.root
+    g = p.gcd(k.modulus)
+    if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
+        return 0
+    sf = p.squarefree_part()
+    probe = AlgebraicScalar.from_root(root.poly, root.lo, root.hi)
+    while sf.degree >= 1 and (sf(probe.lo) == 0 or sf(probe.hi) == 0 or count_roots(sf, probe.lo, probe.hi)):
+        probe.refine(probe.width() / 2)
+    v = p(probe.lo)
+    return (v > 0) - (v < 0)
+
+
+def _assert_normal(x: FieldElement, k: NumberField) -> None:
+    assert x.den > 0 and not (x.nums and x.nums[-1] == 0)
+    assert gcd(x.den, *x.nums) == 1
+    assert all(type(c) is F for c in x.rep.coeffs)
+    assert x.rep.degree < k.modulus.degree
+    assert x.rep == _mod(x.rep, k)
+    assert x.rep == Poly([F(v, x.den) for v in x.nums])
+
+
+small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+element_polys = st.builds(
+    lambda cs, factor: Poly(cs) * factor if factor is not None else Poly(cs),
+    st.lists(small_fractions, max_size=7),
+    st.sampled_from((None,) + GAMMA_FACTORS),
+)
+
+
+@given(st.sampled_from(sorted(REFERENCE_MODULI)), element_polys, element_polys, small_fractions, st.integers(-7, 7))
+@settings(max_examples=150, deadline=None)
+def test_field_arithmetic_is_the_rational_arithmetic_mod_m(name, pa, pb, r, n):
+    k = _reference_field(name)
+    a, b = k.element(pa), k.element(pb)
+    ra, rb = _mod(pa, k), _mod(pb, k)
+    assert a.rep == ra and b.rep == rb
+    for got, want in (
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (-a, -ra),
+        (a * b, ra * rb),
+        (a * r, ra * r),
+        (r * a, ra * r),
+        (a * n, ra * n),
+        (n * a, ra * n),
+        (a + r, ra + Poly([r])),
+        (r - a, Poly([r]) - ra),
+        (n - a, Poly([F(n)]) - ra),
+        (a - n, ra - Poly([F(n)])),
+    ):
+        _assert_normal(got, k)
+        assert got.rep == _mod(want, k)
+    assert (a == b) == (ra == rb)
+    again = k.element(list(pa.coeffs))
+    assert a == again and hash(a) == hash(again)
+    assert (a == r) == (ra == Poly([r]))
+    assert a.sign() == _reference_sign(ra, k)
+
+
+@given(st.sampled_from(sorted(REFERENCE_MODULI)), element_polys, element_polys)
+@settings(max_examples=150, deadline=None)
+def test_field_inverse_is_the_euclidean_inverse(name, pa, pb):
+    k = _reference_field(name)
+    a, b = k.element(pa), k.element(pb)
+    ra, rb = _mod(pa, k), _mod(pb, k)
+    if ra.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    want = _euclid_inverse(ra, k)
+    if want is None:
+        assert ra.gcd(k.modulus).degree >= 1
+        with pytest.raises(ZeroDivisor):
+            a.inverse()
+        with pytest.raises(ZeroDivisor):
+            b / a
+        return
+    inv = a.inverse()
+    _assert_normal(inv, k)
+    assert inv.rep == want
+    assert (a * inv) == 1
+    _assert_normal(b / a, k)
+    assert (b / a).rep == _mod(rb * want, k)
+    assert (1 / a) == inv
+
+
+def test_field_inverse_raises_zero_divisor_exactly_on_common_factors():
+    k = _reference_field("gamma boundary")
+    x = k.gen()
+    for zd in (x * x * 2 - 1, x * x * 2 + x + 1, (x * x * 2 - 1) * (x + 3)):
+        assert zd.rep.gcd(k.modulus).degree >= 1
+        with pytest.raises(ZeroDivisor):
+            zd.inverse()
+    unit = x * x * 2 + x - 1  # coprime to both factors
+    assert unit.rep.gcd(k.modulus).degree == 0
+    assert unit * unit.inverse() == 1
+
+
+def test_field_rep_is_read_only():
+    k = _reference_field("Q(eta)")
+    x = k.gen() / 3
+    assert x.nums == (0, 1) and x.den == 3
+    assert x.rep == Poly([F(0), F(1, 3)])
+    with pytest.raises(AttributeError):
+        x.rep = Poly([])

@@ -387,7 +387,10 @@ class TestKMSSweepSemantics:
         kms_check(psi, sample, TOL)
         distinct = {id(x) for x, _ in sample}
         assert len(distinct) < len(sample)
-        assert calls == Counter(dict.fromkeys(distinct, 1))
+        # sigma(x) is read only through y sigma(x), which vanishes with y x
+        product = rank2_product if isinstance(sample[0][0], Rank2Monomial) else monomial_product
+        needed = {id(x) for x, y in sample if product(y, x)}
+        assert calls == Counter(dict.fromkeys(needed, 1))
 
     @pytest.mark.parametrize("bad", [F(0), F(-1)])
     def test_nonpositive_lambda_raises_from_a_zero_pair(self, figb, bad):
