@@ -11,14 +11,13 @@ isolation and refinement.  A number-field sign is decided by an integer
 interval enclosure first, by a gcd with the modulus only when the enclosure
 contains 0, and then by refining the root's interval.
 
-Determinants of polynomial matrices with integer coefficients (every
-det(lambda*A - I) the solver builds) are computed by evaluation and
-interpolation modulo one prime: the matrix is evaluated at x = 0..d, where d
-bounds the determinant's degree, each value matrix is eliminated modulo the
-prime, and the values are Newton-interpolated.  The prime exceeds twice a
-Hadamard bound on the determinant's coefficients, so the symmetric residues
-are the integer coefficients themselves; no step is probabilistic.  Other
-polynomial matrices (rational or number-field coefficients) use
+The solver's determinants det(x*W - I) are reversed characteristic
+polynomials, (-1)**n * x**n * chi_W(1/x).  ``charpoly`` computes chi_A of an
+integer matrix A in O(n**3) operations modulo one prime: a Hessenberg
+reduction by similarity transforms, then the Hessenberg recurrence.  The
+prime exceeds twice a Hadamard bound on the coefficients, so the symmetric
+residues are the integer coefficients themselves; no step is
+probabilistic.  Polynomial matrices with number-field coefficients use
 fraction-free (Bareiss) elimination, whose intermediate divisions are exact
 by the Sylvester identity.
 """
@@ -744,8 +743,8 @@ def scalar_abs_leq(x, tol: Fraction) -> bool:
 # Determinants and kernels
 # ---------------------------------------------------------------------------
 
-# Exponents p of Mersenne primes 2**p - 1, the moduli of the modular
-# determinant.  The largest allows coefficient bounds of about 65,000 digits.
+# Exponents p of Mersenne primes 2**p - 1, the moduli of ``charpoly``.  The
+# largest allows coefficient bounds of about 65,000 digits.
 _MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
@@ -753,30 +752,13 @@ _MERSENNE_EXPONENTS = (
 
 
 def det_bareiss_poly(rows: list[list[Poly]]) -> Poly:
-    """Exact determinant of a square matrix of polynomials.
-
-    When every coefficient is an integer, the determinant is found modulo
-    the smallest tabulated Mersenne prime M with M > 2B and M > d, where d is
-    the sum over rows of the largest entry degree (a bound on the
-    determinant's degree) and B bounds every coefficient by Hadamard's
-    inequality applied to the expansion of the determinant in the rows'
-    coefficient vectors: |c_k| <= prod_i sum_k ||row i of A_k||_2 for
-    A(x) = sum_k A_k x^k.  Values at x = 0..d come from Gaussian elimination
-    modulo M and are Newton-interpolated; since |c_k| < M/2, the symmetric
-    residues are the coefficients.
-
-    Other matrices (non-integral rational or number-field coefficients,
-    or a bound beyond the largest tabulated prime) go through fraction-free
-    elimination.  Deterministic: pivots are taken in order, with row swaps
-    (and a sign flip) only to skip zero pivots."""
+    """Exact determinant of a square matrix of polynomials by fraction-free
+    (Bareiss) elimination, whose divisions are exact by the Sylvester
+    identity.  Deterministic: pivots are taken in order, with row swaps (and
+    a sign flip) only to skip zero pivots."""
     n = len(rows)
     if n == 0:
         return Poly([Fraction(1)])
-    ints = _integer_entries(rows)
-    if ints is not None:
-        modular = _det_poly_modular(ints)
-        if modular is not None:
-            return modular
     a = [row[:] for row in rows]
     one = Poly([Fraction(1)])
     prev = one
@@ -800,143 +782,79 @@ def det_bareiss_poly(rows: list[list[Poly]]) -> Poly:
     return -det if sign < 0 else det
 
 
-def _integer_entries(rows: list[list[Poly]]) -> list[list[list[int]]] | None:
-    """Coefficient lists of the entries as ints, or None if any coefficient
-    is not an integer."""
-    out = []
-    for row in rows:
-        out_row = []
-        for entry in row:
-            cs = []
-            for c in entry.coeffs:
-                if not (isinstance(c, Fraction) and c.denominator == 1):
-                    return None
-                cs.append(c.numerator)
-            out_row.append(cs)
-        out.append(out_row)
-    return out
-
-
 def _ceil_sqrt(s: int) -> int:
     return isqrt(s - 1) + 1 if s else 0
 
 
-def _det_poly_modular(ints: list[list[list[int]]]) -> Poly | None:
-    """Determinant of an integer polynomial matrix by evaluation and
-    interpolation modulo one prime; None when the coefficient bound exceeds
-    every tabulated prime."""
-    n = len(ints)
-    degree = 0
-    bound = 1
-    for row in ints:
-        width = max(len(cs) for cs in row)
-        if width == 0:
-            return Poly([])  # a zero row
-        degree += width - 1
-        bound *= sum(
-            _ceil_sqrt(sum(cs[k] * cs[k] for cs in row if k < len(cs))) for k in range(width)
-        )
-    prime = next(
-        (m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS) if m > 2 * bound and m > degree),
-        None,
-    )
-    if prime is None:
-        return None
-    sparse = [[(j, cs) for j, cs in enumerate(row) if cs] for row in ints]
-    values = []
-    for t in range(degree + 1):
-        a = []
-        for row in sparse:
-            dense = [0] * n
-            for j, cs in row:
-                v = 0
-                for c in reversed(cs):
-                    v = v * t + c
-                dense[j] = v % prime
-            a.append(dense)
-        values.append(_det_mod(a, prime))
-    coeffs = _newton_interpolate_mod(values, prime)
-    half = prime // 2
-    return Poly([Fraction(c - prime if c > half else c) for c in coeffs])
+def charpoly(a: list[list[int]]) -> list[int] | None:
+    """Integer coefficients, ascending, of det(t*I - A) for a square integer
+    matrix A; None when their bound exceeds every tabulated prime.
 
+    The prime p is the smallest tabulated Mersenne prime above
+    2 * prod_i (ceil(||A_i||_2) + 1).  Expanding det(t*I - A) by rows, the
+    coefficient of t**j sums, over the sets S of n - j rows, determinants
+    with rows A_i (i in S) and unit rows elsewhere, so Hadamard's inequality
+    bounds its absolute value by that product and the symmetric residues
+    modulo p are the coefficients themselves; no step is probabilistic.
 
-def _det_mod(a: list[list[int]], p: int) -> int:
-    """Determinant modulo the prime ``p`` of a matrix with entries reduced
-    modulo ``p``, by Gaussian elimination in place.  Rows whose pivot-column
-    entry is zero, and columns that are zero in the pivot row, are skipped."""
+    Modulo p, A is brought to upper Hessenberg form H by similarity
+    transforms: a row swap with the matching column swap, and row i minus
+    u times the pivot row with column i's multiple u added to the pivot
+    column.  The characteristic polynomials P_m of the leading m x m blocks
+    of H then follow from P_0 = 1 and
+    P_{m+1} = (t - h_mm) P_m - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) P_i
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    2.2.9), in O(n**3) operations."""
     n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+    bound = 1
+    for row in a:
+        bound *= _ceil_sqrt(sum(v * v for v in row)) + 1
+    p = next((m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS) if m > 2 * bound), None)
+    if p is None:
+        return None
+    h = [[v % p for v in row] for row in a]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if h[i][c]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        pivot_row = a[k]
-        det = det * pivot_row[k] % p
-        inv = pow(pivot_row[k], -1, p)
-        cols = [(j, pivot_row[j]) for j in range(k + 1, n) if pivot_row[j]]
-        for i in range(k + 1, n):
-            row = a[i]
-            if row[k]:
-                f = row[k] * inv % p
-                for j, v in cols:
-                    row[j] = (row[j] - f * v) % p
-    return det % p
-
-
-def _newton_interpolate_mod(values: list[int], p: int) -> list[int]:
-    """Coefficients, ascending and modulo ``p``, of the polynomial of degree
-    < len(values) taking ``values[t]`` at x = t (requires p > len(values))."""
-    c = list(values)
-    d = len(c) - 1
-    # divided differences at the points 0..d: x_i - x_{i-j} = j
-    for j in range(1, d + 1):
-        inv = pow(j, -1, p)
-        for i in range(d, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv % p
-    # expand c[0] + c[1] x + c[2] x (x - 1) + ... by Horner in the Newton basis
-    out = [c[d]]
-    for i in range(d - 1, -1, -1):
-        # out <- out * (x - i) + c[i]
-        shifted = [0] + out
-        for k in range(len(out)):
-            shifted[k] = (shifted[k] - i * out[k]) % p
-        shifted[0] = (shifted[0] + c[i]) % p
-        out = shifted
-    return out
-
-
-def det_exact(rows) -> object:
-    """Determinant of a square matrix of exact scalars (Fractions or
-    NumberField elements) by ordinary Gaussian elimination."""
-    n = len(rows)
-    a = [[_entry(x) for x in row] for row in rows]
-    if n == 0:
-        return Fraction(1)
-    det = None
-    sign = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not _is_zero(a[i][k]):
-                piv = i
+            continue
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            for row in h:
+                row[r], row[piv] = row[piv], row[r]
+        prow = h[r]
+        inv = pow(prow[c], -1, p)
+        # entries left of c are zero in every row from r on
+        cols = [j for j in range(c, n) if prow[j]]
+        ops = []
+        for i in range(r + 1, n):
+            row = h[i]
+            if row[c]:
+                u = row[c] * inv % p
+                for j in cols:
+                    row[j] = (row[j] - u * prow[j]) % p
+                ops.append((i, u))
+        if ops:
+            # the row operations commute, and so do their inverse column operations
+            for row in h:
+                row[r] = (row[r] + sum(u * row[i] for i, u in ops)) % p
+    chars = [[1]]
+    for m in range(n):
+        nxt = [0] + chars[m]
+        for k, v in enumerate(chars[m]):
+            nxt[k] -= h[m][m] * v
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
                 break
-        if piv is None:
-            return a[0][0] * 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        det = a[k][k] if det is None else det * a[k][k]
-        inv = a[k][k]
-        for i in range(k + 1, n):
-            if _is_zero(a[i][k]):
-                continue
-            f = a[i][k] / inv
-            for j in range(k, n):
-                a[i][j] = a[i][j] - f * a[k][j]
-    return -det if sign < 0 else det
+            f = h[i][m] * t
+            if f:
+                for k, v in enumerate(chars[i]):
+                    nxt[k] -= f * v
+        chars.append([v % p for v in nxt])
+    half = p // 2
+    return [v - p if v > half else v for v in chars[n]]
 
 
 def _entry(x):

@@ -12,10 +12,13 @@ such equation as the matrix
 acting on vertex vectors, with the identity only on non-sink rows.  For
 constant lambda the solvability question reduces to a one-parameter
 determinant: take det(lambda*A - I_r) exactly as a polynomial in lambda
-(A = edge multiplicities; ``pencil_determinant`` builds it from the rows
-of ``boundary_matrix``), isolate the positive roots in increasing order, and
-decide at each root whether the kernel of ``boundary_matrix`` at that root
-holds a strictly positive vector.
+(A = edge multiplicities), isolate the positive roots in increasing order,
+and decide at each root whether the kernel of ``boundary_matrix`` at that
+root holds a strictly positive vector.  Without sinks the determinant is
+the reversed characteristic polynomial (-1)**n * lambda**n * chi_A(1/lambda),
+whose roots are the reciprocals 1/mu of the non-zero eigenvalues mu of A;
+``pencil_determinant`` reads it off ``exact.charpoly``, a Hessenberg
+reduction modulo one prime.
 
 A sink makes the determinant vanish identically, so otherwise M is
 lambda*A - I with A >= 0 and a positive kernel vector is a positive
@@ -41,6 +44,7 @@ from .exact import (
     FieldElement,
     Poly,
     as_fraction,
+    charpoly,
     det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
@@ -175,21 +179,39 @@ def boundary_matrix(graph: DirectedGraph, lam) -> list[list]:
 
 def pencil_determinant(graph: DirectedGraph, lam) -> Poly:
     """det(x*W - I_r) as a polynomial in x, for the rows W - I_r of
-    ``boundary_matrix(graph, lam)``.  Both coefficients of every entry have
-    the rows' scalar type, so integer rows take the modular determinant and
-    number-field rows keep number-field coefficients."""
+    ``boundary_matrix(graph, lam)``.
+
+    A sink row is zero, so any sink gives the zero polynomial.  Otherwise
+    I_r = I, and for rational W, with D the lcm of its denominators and
+    A = D*W an integer matrix,
+
+        det(x*W - I) = (-1)**n * (x/D)**n * chi_A(D/x),
+
+    so the coefficient of x**k is (-1)**n * a_(n-k) / D**k, where a_j is the
+    coefficient of t**j in chi_A(t) = det(t*I - A) (``charpoly``).
+    Number-field rows keep their scalar type through ``det_bareiss_poly``,
+    which also takes rational rows whose coefficient bound is beyond
+    ``charpoly``'s prime table."""
     rows = boundary_matrix(graph, lam)
-    zero = rows[0][0] * 0 if rows else None
-    pencil = [[Poly([zero, x]) for x in row] for row in rows]
-    for i, v in enumerate(graph.vertices):
-        if not graph.is_sink(v):
-            pencil[i][i] = Poly([zero - 1, rows[i][i] + 1])
+    if any(graph.is_sink(v) for v in graph.vertices):
+        return Poly([])
+    w = [[x + 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    if all(isinstance(x, Fraction) for row in w for x in row):
+        d = lcm(*(x.denominator for row in w for x in row))
+        chi = charpoly([[x.numerator * (d // x.denominator) for x in row] for row in w])
+        if chi is not None:
+            n = len(w)
+            sign = -1 if n % 2 else 1
+            return Poly([Fraction(sign * chi[n - k], d**k) for k in range(n + 1)])
+    zero = rows[0][0] * 0
+    pencil = [[Poly([zero - 1 if i == j else zero, x]) for j, x in enumerate(row)] for i, row in enumerate(w)]
     return det_bareiss_poly(pencil)
 
 
 def det_polynomial(graph: DirectedGraph) -> Poly:
-    """det(lambda*A - I_r) for the adjacency counts A.  Its entries have
-    integer coefficients, so ``det_bareiss_poly`` takes its modular path."""
+    """det(lambda*A - I_r) for the adjacency counts A: the reversed
+    characteristic polynomial (-1)**n * lambda**n * chi_A(1/lambda) of A, or
+    0 when a sink is present (``pencil_determinant``)."""
     return pencil_determinant(graph, Fraction(1))
 
 

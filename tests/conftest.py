@@ -62,6 +62,27 @@ def gamma_sector_graphs(gamma_presentation):
     return sector_graphs(gamma_presentation)
 
 
+def det_exact(rows):
+    """Reference determinant of a square matrix of exact scalars (ints,
+    Fractions or number-field elements) by ordinary Gaussian elimination."""
+    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return a[0][0] * 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
 def random_graph(rng: random.Random, n_max: int = 6, allow_sinks: bool = True) -> DirectedGraph:
     """Small random multigraph (loops and parallel edges allowed)."""
     n = rng.randint(1, n_max)

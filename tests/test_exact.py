@@ -15,13 +15,15 @@ from cwkms.exact import (
     NumberField,
     Poly,
     count_roots,
+    charpoly,
     det_bareiss_poly,
-    det_exact,
     isolate_positive_roots,
     kernel_basis_exact,
     scalar_to_float,
     sturm_sequence,
 )
+
+from .conftest import det_exact
 
 EPS = F(1, 10**14)
 
@@ -321,14 +323,31 @@ class TestDeterminants:
         assert det_bareiss_poly(rows) == Poly.from_ints(want)
 
     def test_bound_beyond_prime_table_keeps_exact_result(self, monkeypatch):
-        """With 2**61 - 1 as the only prime, coefficients near 2**70 exceed
-        the bound and must not be reduced modulo it."""
+        """With 2**61 - 1 as the only prime, a weight near 2**70 puts the
+        coefficient bound beyond the table: ``charpoly`` gives None and the
+        determinant still comes out exact, by Bareiss elimination."""
         import cwkms.exact
+        import cwkms.solver
+        from cwkms.graphs import build_graph
+        from cwkms.solver import pencil_determinant
 
         monkeypatch.setattr(cwkms.exact, "_MERSENNE_EXPONENTS", (61,))
+        calls = []
+        bareiss = cwkms.solver.det_bareiss_poly
+        monkeypatch.setattr(cwkms.solver, "det_bareiss_poly", lambda rows: calls.append(rows) or bareiss(rows))
         big = 2**70 + 3
-        rows = [[Poly.from_ints([big, 1]), Poly.from_ints([1])], [Poly.from_ints([0]), Poly.from_ints([1, 1])]]
-        assert det_bareiss_poly(rows) == Poly.from_ints([big, big + 1, 1])
+        graph = build_graph({
+            "vertices": ["a", "b"],
+            "edges": [
+                {"id": "aa", "src": "a", "dst": "a"}, {"id": "ab", "src": "a", "dst": "b"},
+                {"id": "bb", "src": "b", "dst": "b"},
+            ],
+        })
+        lam = {"aa": F(big), "ab": F(1), "bb": F(1, 2)}
+        assert charpoly([[big, 1], [0, 1]]) is None
+        # det [[big x - 1, x], [0, x/2 - 1]]
+        assert pencil_determinant(graph, lam) == Poly([F(1), F(-big - F(1, 2)), F(big, 2)])
+        assert len(calls) == 1
 
     def test_non_integer_coefficients_keep_bareiss_results(self, figb, figb_boundary):
         """Scale determinants on the figB skeleton with number-field and with
@@ -362,6 +381,31 @@ class TestDeterminants:
         random.Random(seed).shuffle(words)
         graph = build_graph({"vertices": words, "edges": edges})
         assert det_polynomial(graph) == Poly.from_ints([1, -2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_charpoly_matches_sympy(self, data):
+        """det(t*I - A) of integer matrices with negative entries and zero
+        rows, against sympy."""
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(st.integers(0, 7))
+        a = [data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+        want = sympy.Matrix(n, n, lambda i, j: a[i][j]).charpoly().all_coeffs()[::-1]
+        assert charpoly(a) == [int(c) for c in want]
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [
+            # two disjoint 2-cycles: the Hessenberg subdiagonal entry h_21 is 0
+            ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [1, 0, -2, 0, 1]),
+            # a_10 = 0 and a_20 != 0: the first pivot needs a row and a column swap
+            ([[0, 1, 1], [0, 0, 1], [1, 0, 0]], [-1, -1, 0, 1]),
+            ([[5]], [-5, 1]),
+            ([], [1]),
+        ],
+    )
+    def test_charpoly_fixed_cases(self, a, want):
+        assert charpoly(a) == want
 
     def test_kernel_basis(self):
         rows = [[F(1), F(1), F(0)], [F(0), F(0), F(0)], [F(1), F(1), F(0)]]

@@ -28,7 +28,7 @@ from cwkms.solver import (
     verify_graph_weight,
 )
 
-from .conftest import random_graph
+from .conftest import det_exact, random_graph
 
 SQRT2 = isolate_positive_roots(Poly.from_ints([-2, 0, 1]), F(1, 10**6))[0]
 
@@ -163,27 +163,87 @@ class TestBoundaryMatrix:
         assert all(type(x) is type(zero) for row in rows for x in row)
 
     def test_det_polynomial_takes_the_modular_path(self, monkeypatch, figb_boundary):
-        import cwkms.exact
+        """The integer determinant is the reversed characteristic polynomial
+        from ``charpoly``; Bareiss elimination is not reached."""
+        import cwkms.solver
 
         sizes = []
-        modular = cwkms.exact._det_poly_modular
+        modular = cwkms.solver.charpoly
 
-        def spy(ints):
-            sizes.append(len(ints))
-            return modular(ints)
+        def spy(a):
+            sizes.append(len(a))
+            return modular(a)
 
-        monkeypatch.setattr(cwkms.exact, "_det_poly_modular", spy)
+        def bareiss(rows):
+            raise AssertionError("det_bareiss_poly reached")
+
+        monkeypatch.setattr(cwkms.solver, "charpoly", spy)
+        monkeypatch.setattr(cwkms.solver, "det_bareiss_poly", bareiss)
         det = det_polynomial(figb_boundary.graph)
         assert sizes == [6]
         assert det in (Poly.from_ints([1, 0, 0, -1, -1]), Poly.from_ints([-1, 0, 0, 1, 1]))
         assert all(type(c) is F for c in det.coeffs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_det_polynomial_matches_sympy(self, data):
+        """det(x*A - I_r) on multigraphs with 0 to 8 vertices, parallel edges,
+        self-loops and sinks, against sympy's det(x*A - I_r)."""
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(st.integers(0, 8))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)) if n else []
+        graph = build_graph({
+            "vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": f"e{k}", "src": f"v{i}", "dst": f"v{j}"} for k, (i, j) in enumerate(pairs)],
+        })
+        x = sympy.Symbol("x")
+        a = sympy.zeros(n, n)
+        for i, j in pairs:
+            a[i, j] += 1
+        sources = {i for i, _ in pairs}
+        ident = sympy.diag(*[int(i in sources) for i in range(n)]) if n else sympy.zeros(0, 0)
+        want = (x * a - ident).det(method="domain-ge") if n else sympy.Integer(1)
+        coeffs = sympy.Poly(want, x).all_coeffs()[::-1] if want != 0 else []
+        det = det_polynomial(graph)
+        assert det == Poly.from_ints([int(c) for c in coeffs])
+        assert all(type(c) is F for c in det.coeffs)
+
+    def test_rational_pencil_matches_bareiss(self):
+        """A non-integral rational weight goes through ``charpoly`` on D*W
+        and equals the Bareiss determinant of the pencil."""
+        from cwkms.exact import det_bareiss_poly
+        from cwkms.solver import pencil_determinant
+
+        rng = random.Random(14)
+        for _ in range(30):
+            g = random_graph(rng, n_max=7, allow_sinks=False)
+            lam = {e.id: F(rng.randint(-6, 6), rng.randint(1, 9)) for e in g.edges}
+            for value in (lam, F(rng.randint(1, 9), rng.randint(2, 9))):
+                rows = boundary_matrix(g, value)
+                pencil = [[Poly([F(-1) if i == j else F(0), x + (i == j)]) for j, x in enumerate(row)]
+                          for i, row in enumerate(rows)]
+                det = pencil_determinant(g, value)
+                assert det == det_bareiss_poly(pencil)
+                assert all(type(c) is F for c in det.coeffs)
+
+    def test_disjoint_cycles_and_a_swapped_pivot(self):
+        """Two disjoint 2-cycles, where a Hessenberg subdiagonal entry is 0,
+        and a graph whose first Hessenberg pivot needs a row and column swap."""
+        assert det_polynomial(build_graph(TWO_CYCLES)) == Poly.from_ints([1, 0, -2, 0, 1])
+        swapped = build_graph({
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"id": "ab", "src": "a", "dst": "b"}, {"id": "ac", "src": "a", "dst": "c"},
+                {"id": "bc", "src": "b", "dst": "c"}, {"id": "ca", "src": "c", "dst": "a"},
+            ],
+        })
+        # -det(I - x A) = -(1 - x^2 - x^3)
+        assert det_polynomial(swapped) == Poly.from_ints([-1, 0, 1, 1])
+
     def test_det_matches_numeric_on_random_graphs(self):
         """Dual route: the determinant polynomial evaluated at a rational
         point equals the determinant of the evaluated matrix, exactly by
         independent rational elimination and approximately by numpy."""
-        from cwkms.exact import det_exact
-
         rng = random.Random(42)
         checked = 0
         while checked < 20:
@@ -444,6 +504,51 @@ class TestPerronFrobenius:
             perron = np.abs(vecs[:, top].real)
             got = np.array(fam.kernel.positive_floats())
             assert np.allclose(got / got.max(), perron / perron.max(), atol=1e-8)
+
+    def test_eigenvector_matches_sympy(self):
+        """The positive kernel vector at 1/rho is proportional to sympy's
+        eigenvector of A for rho: a column of adj(A - y*I), which has rank
+        one at the simple Perron root.  Exactly when rho is rational, and
+        otherwise by ratios against sympy at evalf(30), with the kernel
+        vector enclosed from its exact entries."""
+        sympy = pytest.importorskip("sympy")
+        y = sympy.Symbol("y")
+        rng = random.Random(1405)
+        kinds = []
+        for _ in range(20):
+            graph = _strongly_connected_graph(rng)
+            fam = solve_special_weights(graph).families[0]
+            a = sympy.Matrix(_adjacency(graph).astype(int).tolist())
+            n = a.rows
+            rho = max(sympy.Poly(a.charpoly(y).as_expr(), y).real_roots())
+            column = (a - y * sympy.eye(n)).adjugate(method="berkowitz")[:, 0].expand()
+            assert rho.is_Rational == fam.eta.is_rational
+            if rho.is_Rational:
+                assert fam.eta.rational == F(int(rho.q), int(rho.p))
+                want = [c.subs(y, rho) for c in column]
+                got = [sympy.Rational(v.numerator, v.denominator) for v in fam.kernel.positive]
+                assert all(got[i] * want[0] == got[0] * want[i] for i in range(n))
+                kinds.append("rational")
+                continue
+            fam.eta.refine(F(1, 10**50))
+            lo, hi = fam.eta.bounds()
+            rho30 = rho.evalf(30)
+            assert abs(rho30 * sympy.Rational(lo.numerator, lo.denominator) - 1) < sympy.Float("1e-25", 30)
+            want = [c.subs(y, rho30) for c in column]
+            if isinstance(fam.kernel.positive[0], float):
+                # the SVD fallback after a zero divisor: a float vector
+                got, tol = fam.kernel.positive, sympy.Float("1e-9", 30)
+                kinds.append("float")
+            else:
+                got, tol = [], sympy.Float("1e-20", 30)
+                kinds.append("field")
+                for v in fam.kernel.positive:
+                    mid = sum(v.rep.interval_eval(lo, hi)) / 2
+                    got.append(sympy.Rational(mid.numerator, mid.denominator))
+            for i in range(1, n):
+                ratio = want[i] / want[0]
+                assert abs(got[i] / got[0] - ratio) < tol * abs(ratio)
+        assert {"rational", "field"} <= set(kinds)
 
     def test_reducible_graphs(self):
         rng = random.Random(11)
