@@ -7,9 +7,10 @@ enters only through the ``to_float`` conversions used at report time.
 
 The root machinery follows the classical exact recipe: square-free reduction
 by gcd, Sturm sequences for root counting, and interval bisection for
-isolation and refinement.  A number-field sign is decided by an integer
-interval enclosure first, by a gcd with the modulus only when the enclosure
-contains 0, and then by refining the root's interval.
+isolation and refinement; every sign at a rational point is an integer
+Horner evaluation.  A number-field sign is decided by an integer interval
+enclosure first, by a gcd with the modulus only when the enclosure contains
+0, and then by refining the root's interval.
 
 The solver's determinants det(x*W - I) are reversed characteristic
 polynomials, (-1)**n * x**n * chi_W(1/x).  ``charpoly`` computes chi_A of an
@@ -19,7 +20,9 @@ prime exceeds twice a Hadamard bound on the coefficients, so the symmetric
 residues are the integer coefficients themselves; no step is
 probabilistic.  Polynomial matrices with number-field coefficients use
 fraction-free (Bareiss) elimination, whose intermediate divisions are exact
-by the Sylvester identity.
+by the Sylvester identity.  Rational kernels come from an elimination modulo
+a prime with rational reconstruction, accepted only after an exact integer
+check A*v = 0 (``kernel_basis_exact``).
 """
 
 from __future__ import annotations
@@ -64,13 +67,21 @@ class Poly:
     tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
         while cs and _is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None
+
+    @property
+    def ints(self) -> tuple[list[int], int]:
+        """``_int_numerators`` of the (Fraction) coefficients, built on first use."""
+        if self._ints is None:
+            self._ints = _int_numerators(self.coeffs)
+        return self._ints
 
     @staticmethod
     def from_ints(coeffs) -> "Poly":
@@ -160,7 +171,7 @@ class Poly:
 
     def interval_eval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval-arithmetic enclosure of self over [lo, hi]."""
-        vlo, vhi, s = _horner_enclosure(*_int_numerators(self.coeffs), lo, hi)
+        vlo, vhi, s = _horner_enclosure(*self.ints, lo, hi)
         return Fraction(vlo, s), Fraction(vhi, s)
 
     def primitive(self) -> "Poly":
@@ -183,7 +194,7 @@ class Poly:
         Only meaningful for Fraction coefficients; used to hold coefficient
         growth down in remainder sequences.  The content of reduced a_i/b_i
         is gcd(a_i)/lcm(b_i), so the integers over the lcm divide by it."""
-        ints, _ = _int_numerators(self.coeffs)
+        ints, _ = self.ints
         g = _int_gcd(*ints)
         return Poly([Fraction(v // g) for v in ints]) if g else self
 
@@ -212,7 +223,8 @@ class Poly:
         return self.exact_div(g).monic()
 
     def sign_at(self, x: Fraction) -> int:
-        v = self(x)
+        """Sign at a rational point, by integer Horner (Fraction coefficients)."""
+        v = _horner_enclosure(*self.ints, x, x)[0]
         return (v > 0) - (v < 0)
 
     def __repr__(self):
@@ -278,12 +290,12 @@ def _sign_variations(values) -> int:
 def count_roots(p: Poly, lo: Fraction, hi: Fraction, seq: list[Poly] | None = None) -> int:
     """Number of distinct real roots of square-free ``p`` in the open
     interval (lo, hi); endpoints must not be roots."""
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ValueError("Sturm endpoints must not be roots")
     if seq is None:
         seq = sturm_sequence(p)
-    va = _sign_variations([q(lo) for q in seq])
-    vb = _sign_variations([q(hi) for q in seq])
+    va = _sign_variations([q.sign_at(lo) for q in seq])
+    vb = _sign_variations([q.sign_at(hi) for q in seq])
     return va - vb
 
 
@@ -400,12 +412,12 @@ def _split_point(sf: Poly, a: Fraction, b: Fraction) -> Fraction:
     """A point strictly inside (a, b) that is not a root of ``sf``."""
     for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
         m = a + (b - a) * t
-        if sf(m) != 0:
+        if sf.sign_at(m):
             return m
     k = 4
     while True:
         m = a + (b - a) / k
-        if sf(m) != 0:
+        if sf.sign_at(m):
             return m
         k += 1
 
@@ -416,7 +428,7 @@ def _isolating_intervals(sf: Poly) -> list[tuple[Fraction, Fraction]]:
     changes sign across each interval."""
     seq = sturm_sequence(sf)
     bound = cauchy_root_bound(sf)
-    while sf(bound) == 0:
+    while sf.sign_at(bound) == 0:
         bound += 1
     stack = [(Fraction(0), bound, count_roots(sf, Fraction(0), bound, seq))]
     isolated: list[tuple[Fraction, Fraction]] = []
@@ -463,7 +475,7 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
         probe = AlgebraicScalar.from_root(sf, a, b).refine(Fraction(1, 2 * lead * lead))
         r = probe.rational if probe.is_rational else ((probe.lo + probe.hi) / 2).limit_denominator(lead)
         # (a, b) holds exactly one root of sf; the candidate may be another one
-        found.append(r if a < r < b and sf(r) == 0 else None)
+        found.append(r if a < r < b and sf.sign_at(r) == 0 else None)
     rest = sf
     rationals = [r for r in found if r is not None]
     if rationals:
@@ -743,8 +755,8 @@ def scalar_abs_leq(x, tol: Fraction) -> bool:
 # Determinants and kernels
 # ---------------------------------------------------------------------------
 
-# Exponents p of Mersenne primes 2**p - 1, the moduli of ``charpoly``.  The
-# largest allows coefficient bounds of about 65,000 digits.
+# Exponents p of Mersenne primes 2**p - 1, the moduli of ``charpoly`` and of
+# ``kernel_basis_exact``.  The largest allows bounds of about 65,000 digits.
 _MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
@@ -782,20 +794,33 @@ def det_bareiss_poly(rows: list[list[Poly]]) -> Poly:
     return -det if sign < 0 else det
 
 
-def _ceil_sqrt(s: int) -> int:
-    return isqrt(s - 1) + 1 if s else 0
+def _mersenne_ladder(a: list[list[int]], power: int) -> list[int] | None:
+    """The tabulated Mersenne primes, ascending, up to the first one above
+    2 * H**power, where H = prod_i (ceil(||A_i||_2) + 1) is the row Hadamard
+    bound of the integer matrix A; None when no tabulated prime is that large."""
+    h = 1
+    for row in a:
+        s = sum(v * v for v in row)
+        h *= isqrt(s - 1) + 2 if s else 1  # ceil(sqrt(s)) + 1
+    ladder = []
+    for e in _MERSENNE_EXPONENTS:
+        ladder.append((1 << e) - 1)
+        if ladder[-1] > 2 * h**power:
+            return ladder
+    return None
 
 
 def charpoly(a: list[list[int]]) -> list[int] | None:
     """Integer coefficients, ascending, of det(t*I - A) for a square integer
     matrix A; None when their bound exceeds every tabulated prime.
 
-    The prime p is the smallest tabulated Mersenne prime above
-    2 * prod_i (ceil(||A_i||_2) + 1).  Expanding det(t*I - A) by rows, the
-    coefficient of t**j sums, over the sets S of n - j rows, determinants
-    with rows A_i (i in S) and unit rows elsewhere, so Hadamard's inequality
-    bounds its absolute value by that product and the symmetric residues
-    modulo p are the coefficients themselves; no step is probabilistic.
+    The prime p is the smallest tabulated Mersenne prime above twice the row
+    Hadamard bound prod_i (ceil(||A_i||_2) + 1) (``_mersenne_ladder``).
+    Expanding det(t*I - A) by rows, the coefficient of t**j sums, over the
+    sets S of n - j rows, determinants with rows A_i (i in S) and unit rows
+    elsewhere, so Hadamard's inequality bounds its absolute value by that
+    product and the symmetric residues modulo p are the coefficients
+    themselves; no step is probabilistic.
 
     Modulo p, A is brought to upper Hessenberg form H by similarity
     transforms: a row swap with the matching column swap, and row i minus
@@ -806,12 +831,10 @@ def charpoly(a: list[list[int]]) -> list[int] | None:
     (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
     2.2.9), in O(n**3) operations."""
     n = len(a)
-    bound = 1
-    for row in a:
-        bound *= _ceil_sqrt(sum(v * v for v in row)) + 1
-    p = next((m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS) if m > 2 * bound), None)
-    if p is None:
+    ladder = _mersenne_ladder(a, 1)
+    if ladder is None:
         return None
+    p = ladder[-1]
     h = [[v % p for v in row] for row in a]
     for c in range(n - 2):
         r = c + 1
@@ -857,52 +880,104 @@ def charpoly(a: list[list[int]]) -> list[int] | None:
     return [v - p if v > half else v for v in chars[n]]
 
 
-def _entry(x):
-    if isinstance(x, (int, str)):
-        return as_fraction(x)
-    return x
-
-
 def kernel_basis_exact(rows) -> list[list]:
-    """Basis of the right kernel of a matrix of exact scalars, by reduced row
-    echelon form.  Returns a list of coordinate vectors.
+    """Basis of the right kernel of a matrix of exact scalars: for each free
+    column c of the reduced row echelon form (RREF), the vector with 1 at c,
+    0 at the other free columns and minus column c of the RREF at the pivots.
 
-    The pivot row is scaled by one inverse, and the other rows are updated
-    only in the columns where the pivot row is non-zero."""
+    A rational matrix A, rows cleared of denominators, is reduced modulo each
+    prime p of ``_mersenne_ladder(A, 2)`` in turn, each entry is rebuilt as
+    the fraction r/s with |r|, s <= sqrt(p/2) congruent to it, and the basis
+    is accepted once every vector v passes A*v = 0 in integers.  It is then
+    the RREF basis over Q: rank mod p is at most the rank over Q, so the free
+    columns F_p mod p number at least dim ker_Q, and the |F_p| verified
+    vectors are independent (each has a unit at its own free column), so
+    |F_p| = dim ker_Q.  The vector of a free column c is zero at every pivot
+    after c, so its check shows that column c depends on earlier columns
+    over Q; hence F_p = F_Q.  The ladder ends at the first prime above
+    2 * H**2: each RREF entry is a ratio of two minors of A, each at most H
+    (Hadamard), so no nonzero minor vanishes modulo it and reconstruction is
+    certain there.  The climb stops after 2**127 - 1; rational matrices it
+    does not settle, those whose bound is beyond the table and number-field
+    matrices are eliminated in their own arithmetic."""
     if not rows:
         return []
-    m = [[_entry(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
+    m = [[as_fraction(x) if isinstance(x, (int, str)) else x for x in row] for row in rows]
+    if all(isinstance(x, Fraction) for row in m for x in row):
+        a = [_int_numerators(row)[0] for row in m]
+        for p in _mersenne_ladder(a, 2) or ():
+            if p.bit_length() > 127:  # beyond, the exact elimination is cheaper
+                break
+            basis = _kernel_mod(a, p)
+            if basis is not None:
+                return basis
+    return _rref_kernel(m, lambda x: -x)
+
+
+def _kernel_mod(a: list[list[int]], p: int) -> list[list[Fraction]] | None:
+    """The RREF kernel basis of the integer matrix A from its RREF modulo p,
+    or None unless every entry reconstructs and every vector v passes
+    A*v = 0 exactly."""
+    bound = isqrt(p // 2)
+    basis = _rref_kernel([[v % p for v in row] for row in a], lambda x: _reconstruct(-x % p, p, bound), p)
+    for vec in basis:
+        if None in vec:
+            return None
+        support = [(j, v) for j, v in enumerate(_int_numerators(vec)[0]) if v]
+        if any(sum(row[j] * v for j, v in support) for row in a):
+            return None
+    return basis
+
+
+def _rref_kernel(m: list[list], neg, p: int | None = None) -> list[list]:
+    """The kernel basis read off the RREF of ``m``, made in place exactly or,
+    for entries in [0, p), modulo p; ``neg`` maps an entry x to the vector's
+    -x.  The pivot row is scaled by one inverse, and the other rows are
+    updated only in the columns where the pivot row is non-zero."""
+    ncols = len(m[0])
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not _is_zero(m[i][c])), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         prow = m[r]
-        inv = 1 / prow[c]
+        inv = 1 / prow[c] if p is None else pow(prow[c], -1, p)
         # entries left of c are zero in every row from r on
         cols = [j for j in range(c, ncols) if not _is_zero(prow[j])]
         for j in cols:
-            prow[j] = prow[j] * inv
+            prow[j] = prow[j] * inv if p is None else prow[j] * inv % p
         for i, row in enumerate(m):
             if i != r and not _is_zero(row[c]):
                 f = row[c]
-                for j in cols:
-                    row[j] = row[j] - f * prow[j]
+                if p is None:
+                    for j in cols:
+                        row[j] = row[j] - f * prow[j]
+                else:
+                    for j in cols:
+                        row[j] = (row[j] - f * prow[j]) % p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == len(m):
             break
-    zero = m[0][0] * 0
+    zero = neg(m[0][0] * 0)
     one = zero + 1
+    pivot_set = set(pivots)
     basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
+            vec[pc] = neg(m[i][fc])
         basis.append(vec)
     return basis
+
+
+def _reconstruct(u: int, p: int, bound: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= bound and r = s*u mod p, unique when
+    2 * bound**2 < p, or None: Euclid on (p, u) up to a remainder <= bound."""
+    r0, r1, s0, s1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None

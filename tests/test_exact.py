@@ -94,6 +94,23 @@ def test_enclosure_of_zero_polynomial():
     assert Poly([0, F(0)]).interval_eval(F(1), F(1)) == (F(0), F(0))
 
 
+sign_points = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=2**40),
+    st.builds(F, st.integers(-3, 3), st.integers(2**40, 2**80)),
+)
+
+
+@given(exact_coeffs, sign_points)
+@settings(max_examples=200, deadline=None)
+def test_sign_at_is_the_sign_of_fraction_evaluation(coeffs, x):
+    """Integer Horner signs against Fraction evaluation: non-integer
+    coefficients, x = 0, negative and tiny x, the zero polynomial."""
+    v = sum((F(c) * x**i for i, c in enumerate(coeffs)), F(0))
+    assert Poly(coeffs).sign_at(x) == (v > 0) - (v < 0)
+    assert Poly([]).sign_at(x) == 0
+
+
 def test_sturm_counts_quadratic():
     p = Poly.from_ints([-2, 0, 1])  # x^2 - 2
     assert count_roots(p, F(0), F(2)) == 1
@@ -620,6 +637,115 @@ def test_sparse_kernel_raises_on_a_zero_divisor_pivot():
         kernel_basis_exact(rows)
     with pytest.raises(ZeroDivisor):
         _dense_kernel(rows)
+
+
+big_fractions = st.builds(F, st.integers(-2**40, 2**40).filter(bool), st.integers(1, 2**40))
+M61 = 2**61 - 1
+
+
+@given(sparse_matrices(big_fractions), st.integers(0, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_modular_kernel_of_tall_rationals_is_the_dense_kernel(matrix, zero_col, zero_row):
+    """Rectangular, rank-deficient rational matrices with numerators and
+    denominators up to 2**40, a zero column and perhaps a zero row: the
+    ladder of primes gives the RREF basis over Q."""
+    rows = _materialize(matrix, lambda x: F(0) if x is None else x)
+    for row in rows:
+        row[zero_col % len(row)] = F(0)
+    if zero_row:
+        rows.insert(len(rows) // 2, [F(0)] * len(rows[0]))
+    basis = kernel_basis_exact(rows)
+    assert basis == _dense_kernel(rows)
+    assert all(type(v) is F for vec in basis for v in vec)
+
+
+def _spy_kernel_mod(monkeypatch):
+    """Record (p, basis or None) for each prime the kernel ladder tries."""
+    import cwkms.exact
+
+    tried = []
+    kernel_mod = cwkms.exact._kernel_mod
+
+    def spy(a, p):
+        tried.append((p, kernel_mod(a, p)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(cwkms.exact, "_kernel_mod", spy)
+    return tried
+
+
+def test_unlucky_prime_fails_the_exact_check(monkeypatch):
+    """[[2**61 - 1, 1]] reduces to [[0, 1]] modulo 2**61 - 1, whose kernel
+    vector [1, 0] the integer check rejects."""
+    tried = _spy_kernel_mod(monkeypatch)
+    assert kernel_basis_exact([[F(M61), F(1)]]) == [[F(-1, M61), F(1)]]
+    assert tried[0] == (M61, None)
+    assert tried[-1][1] is not None
+
+
+def test_failed_reconstruction_climbs_the_ladder(monkeypatch):
+    """-b/a with a, b near 2**46 has no fraction of height <= 2**30 congruent
+    to it modulo 2**61 - 1, so a larger prime settles the kernel."""
+    from math import isqrt
+
+    from cwkms.exact import _reconstruct
+
+    a, b = 3**29, 5**20
+    assert _reconstruct(-b * pow(a, -1, M61) % M61, M61, isqrt(M61 // 2)) is None
+    tried = _spy_kernel_mod(monkeypatch)
+    assert kernel_basis_exact([[a, b]]) == [[F(-b, a), F(1)]]
+    assert tried[0] == (M61, None)
+    assert len(tried) > 1
+
+
+def test_ladder_stops_at_2_127_minus_1(monkeypatch):
+    """-b/a with a, b near 2**95 needs a prime near 2**190; the climb stops
+    after 2**127 - 1 and the exact elimination gives the basis."""
+    tried = _spy_kernel_mod(monkeypatch)
+    a, b = 3**60, 5**41
+    assert kernel_basis_exact([[a, b]]) == [[F(-b, a), F(1)]]
+    assert tried == [(2**e - 1, None) for e in (61, 89, 107, 127)]
+
+
+def test_bound_beyond_prime_table_takes_the_fraction_elimination(monkeypatch):
+    """With 2**61 - 1 as the only prime and 2 * H**2 beyond it, no modular
+    pass runs and the exact elimination gives the same basis."""
+    import cwkms.exact
+
+    monkeypatch.setattr(cwkms.exact, "_MERSENNE_EXPONENTS", (61,))
+    tried = _spy_kernel_mod(monkeypatch)
+    rows = [[F(2**40 + 1, 3), F(5), F(7, 2**35)], [F(1), F(2**41 - 1), F(0)]]
+    basis = kernel_basis_exact(rows)
+    assert tried == []
+    assert basis == _dense_kernel(rows)
+    assert all(type(v) is F for vec in basis for v in vec)
+
+
+def test_de_bruijn_kernel_takes_one_modular_pass(monkeypatch):
+    """B(2,6) at lambda = 1/2 (64 x 64, kernel the constant vector) is
+    settled at 2**61 - 1; the exact elimination is not reached."""
+    import itertools
+
+    import cwkms.exact
+    from cwkms.graphs import build_graph
+    from cwkms.solver import boundary_matrix
+
+    words = ["".join(w) for w in itertools.product("01", repeat=6)]
+    graph = build_graph({
+        "vertices": words,
+        "edges": [{"id": f"{w}>{s}", "src": w, "dst": w[1:] + s} for w in words for s in "01"],
+    })
+    rows = boundary_matrix(graph, F(1, 2))
+    tried = _spy_kernel_mod(monkeypatch)
+    rref_kernel = cwkms.exact._rref_kernel
+
+    def modular_only(m, neg, p=None):
+        assert p is not None, "exact elimination reached"
+        return rref_kernel(m, neg, p)
+
+    monkeypatch.setattr(cwkms.exact, "_rref_kernel", modular_only)
+    assert kernel_basis_exact(rows) == [[F(1)] * 64]
+    assert [p for p, _ in tried] == [M61]
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,31 @@ class TestSolvePipeline:
         assert not any(isinstance(x, float) for x in fam.kernel.positive)
         _assert_positive_kernel_vector(fam.kernel.rows, fam.kernel.positive)
 
+    def test_nine_regular_52_vertex_multigraph(self, monkeypatch):
+        """The union of 9 seeded permutations of 52 vertices (the PG(2,3)
+        sector graphs' size) has every in- and out-degree 9, so its Perron
+        root is 1/9 with a constant kernel vector, found by the modular
+        rational kernel."""
+        import cwkms.exact
+
+        rng = random.Random(52)
+        edges = []
+        for k in range(9):
+            perm = list(range(52))
+            rng.shuffle(perm)
+            edges += [{"id": f"p{k}v{i}", "src": f"v{i}", "dst": f"v{j}"} for i, j in enumerate(perm)]
+        graph = build_graph({"vertices": [f"v{i}" for i in range(52)], "edges": edges})
+        solved = []
+        kernel_mod = cwkms.exact._kernel_mod
+        monkeypatch.setattr(
+            cwkms.exact, "_kernel_mod", lambda a, p: solved.append(len(a)) or kernel_mod(a, p)
+        )
+        fam = solve_special_weights(graph).families[0]
+        assert fam.eta.equals_rational(F(1, 9))
+        assert fam.kernel.status == "positive"
+        assert fam.kernel.positive == [F(1)] * 52
+        assert solved == [52]
+
     def test_brute_force_oracle_agreement(self):
         """Exhaustive rational elimination agrees with positive_kernel on the
         existence of strictly positive solutions (grid of rational lambdas)."""
