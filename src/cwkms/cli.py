@@ -70,23 +70,31 @@ def _load_json(path: str) -> tuple[dict, str]:
 
 
 def rational(text: str) -> Fraction:
-    """Type of the ``--tol`` options; argparse reports a zero denominator
+    """An exact rational option value; argparse reports a zero denominator
     like any other invalid value."""
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 
 def positive_rational(text: str) -> Fraction:
     """Type of the ``--eps`` options: a root isolation width of 0 or less
     would bisect forever."""
-    try:
-        value = rational(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    value = rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def tolerance(text: str) -> Fraction:
+    """Type of the ``--tol`` options: a bound on residuals is at least 0,
+    and the reports print it as a float."""
+    value = rational(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"too large for a float, got {text!r}")
     return value
 
 
@@ -275,9 +283,7 @@ def cmd_kms_check(args) -> int:
         rep1 = kms_check(psi.skeleton, [(x, y) for x in sk_monos for y in sk_monos], args.tol)
         rep2 = kms_check(psi.boundary, [(x, y) for x in bd_monos for y in bd_monos], args.tol)
         rng = random.Random(0)
-        mixed = [
-            Rank2Monomial(rng.choice(sk_monos), rng.choice(bd_monos)) for _ in range(100)
-        ]
+        mixed = [Rank2Monomial(rng.choice(sk_monos), rng.choice(bd_monos)) for _ in range(100)]
         rep3 = kms_check(psi, [(rng.choice(mixed), rng.choice(mixed)) for _ in range(1000)], args.tol)
         gauge = gauge_check(psi, mixed)
         passed = rep1.passed and rep2.passed and rep3.passed and gauge.passed
@@ -432,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a weight file against an object")
     p.add_argument("object")
     p.add_argument("weight")
-    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--mode", default=None, help="override rank-2 coupling mode")
     p.add_argument("--boundary", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -441,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("object")
     p.add_argument("weight")
     p.add_argument("--max-path-len", type=int, default=4)
-    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--beta-sign", choices=["+", "-"], default="-")
     p.add_argument("--boundary", action="store_true")
     p.set_defaults(func=cmd_kms_check)
@@ -449,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("splice", help="splice piece weights over an amalgam")
     p.add_argument("input")
     p.add_argument("--weights", required=True, help="directory with <piece>.json weight files")
-    p.add_argument("--tol", type=rational, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("a2", help="rank-2 building constructions")

@@ -671,6 +671,12 @@ class FieldElement:
     def __hash__(self):
         return hash((id(self.field), self.nums, self.den))
 
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -744,11 +750,9 @@ def scalar_eq(a, b) -> bool:
 
 
 def scalar_abs_leq(x, tol: Fraction) -> bool:
-    if isinstance(x, FieldElement):
-        return (abs(x) - tol).sign() <= 0
     if isinstance(x, float):
         return abs(x) <= float(tol)
-    return abs(x) <= tol
+    return not abs(x) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +889,12 @@ def kernel_basis_exact(rows) -> list[list]:
     column c of the reduced row echelon form (RREF), the vector with 1 at c,
     0 at the other free columns and minus column c of the RREF at the pivots.
 
-    A rational matrix A, rows cleared of denominators, is reduced modulo each
-    prime p of ``_mersenne_ladder(A, 2)`` in turn, each entry is rebuilt as
-    the fraction r/s with |r|, s <= sqrt(p/2) congruent to it, and the basis
-    is accepted once every vector v passes A*v = 0 in integers.  It is then
+    A rational matrix A, rows cleared of denominators, is reduced modulo a
+    prime p, each entry is rebuilt as the fraction r/s with |r|, s <=
+    sqrt(p/2) congruent to it, and the basis is accepted once every vector v
+    passes A*v = 0 in integers.  p is 2**61 - 1 and, if that fails, the top
+    rung of ``_mersenne_ladder(A, 2)`` up to 2**127 - 1: the rungs between
+    are skipped, as each failed rung costs a whole elimination.  It is then
     the RREF basis over Q: rank mod p is at most the rank over Q, so the free
     columns F_p mod p number at least dim ker_Q, and the |F_p| verified
     vectors are independent (each has a unit at its own free column), so
@@ -897,17 +903,17 @@ def kernel_basis_exact(rows) -> list[list]:
     over Q; hence F_p = F_Q.  The ladder ends at the first prime above
     2 * H**2: each RREF entry is a ratio of two minors of A, each at most H
     (Hadamard), so no nonzero minor vanishes modulo it and reconstruction is
-    certain there.  The climb stops after 2**127 - 1; rational matrices it
-    does not settle, those whose bound is beyond the table and number-field
-    matrices are eliminated in their own arithmetic."""
+    certain there.  Rational matrices the two primes do not settle, those
+    whose bound is beyond the table and number-field matrices are eliminated
+    in their own arithmetic."""
     if not rows:
         return []
     m = [[as_fraction(x) if isinstance(x, (int, str)) else x for x in row] for row in rows]
     if all(isinstance(x, Fraction) for row in m for x in row):
         a = [_int_numerators(row)[0] for row in m]
-        for p in _mersenne_ladder(a, 2) or ():
-            if p.bit_length() > 127:  # beyond, the exact elimination is cheaper
-                break
+        # beyond 2**127 - 1 the exact elimination is cheaper than a modular one
+        ladder = [p for p in _mersenne_ladder(a, 2) or () if p.bit_length() <= 127]
+        for p in ladder[:1] + ladder[1:][-1:]:
             basis = _kernel_mod(a, p)
             if basis is not None:
                 return basis

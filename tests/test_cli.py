@@ -307,6 +307,23 @@ def test_nonpositive_eps_exit_2(capsys, figb_file, argv):
     assert "argument --eps: must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "FIG", "FIG"], ["kms-check", "FIG", "FIG"], ["splice", "FIG", "--weights", "."]],
+)
+@pytest.mark.parametrize(
+    "tol, message",
+    [("1e400", "too large for a float, got '1e400'"), ("-1", "must be non-negative, got '-1'"), ("-1/3", "must be non-negative")],
+)
+def test_bad_tol_exit_2(capsys, figb_file, command, tol, message):
+    """A tolerance float() cannot hold, or one below 0, is rejected while
+    parsing, before any input is read."""
+    with pytest.raises(SystemExit) as exc:
+        main([figb_file if a == "FIG" else a for a in command] + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"argument --tol: {message}" in capsys.readouterr().err
+
+
 def test_zero_tol_stays_legal(capsys):
     inputs = Path(__file__).parent / "golden" / "inputs"
     code, out, _ = run(capsys, "verify", "--tol", "0", str(inputs / "figB.json"), str(inputs / "figB-rank2.json"))

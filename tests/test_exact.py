@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, root isolation, number fields, kernels."""
 
 import functools
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -699,12 +700,24 @@ def test_failed_reconstruction_climbs_the_ladder(monkeypatch):
 
 
 def test_ladder_stops_at_2_127_minus_1(monkeypatch):
-    """-b/a with a, b near 2**95 needs a prime near 2**190; the climb stops
-    after 2**127 - 1 and the exact elimination gives the basis."""
+    """-b/a with a, b near 2**95 needs a prime near 2**190; after 2**61 - 1
+    the ladder jumps to 2**127 - 1 and stops, and the exact elimination
+    gives the basis."""
     tried = _spy_kernel_mod(monkeypatch)
     a, b = 3**60, 5**41
     assert kernel_basis_exact([[a, b]]) == [[F(-b, a), F(1)]]
-    assert tried == [(2**e - 1, None) for e in (61, 89, 107, 127)]
+    assert tried == [(2**e - 1, None) for e in (61, 127)]
+
+
+def test_dense_rational_kernel_tries_two_primes(monkeypatch):
+    """A dense 21 x 30 matrix whose echelon entries are too large for
+    2**127 - 1 pays two failed modular passes, not four, before the exact
+    elimination; the basis is the dense one."""
+    rng = random.Random(7)
+    rows = [[F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(30)] for _ in range(21)]
+    tried = _spy_kernel_mod(monkeypatch)
+    assert kernel_basis_exact(rows) == _dense_kernel(rows)
+    assert tried == [(2**61 - 1, None), (2**127 - 1, None)]
 
 
 def test_bound_beyond_prime_table_takes_the_fraction_elimination(monkeypatch):

@@ -428,3 +428,156 @@ class TestKMSSweepSemantics:
             kms_check(psi, [(p3, p3)], TOL)
         with pytest.raises(GraphMismatch):
             psi.eval(p3)
+
+
+# ---------------------------------------------------------------------------
+# Exact decisions: checks a float reference cannot make
+# ---------------------------------------------------------------------------
+
+TWO_CYCLE_SPEC = {
+    "vertices": ["u", "v"],
+    "edges": [{"id": "a", "src": "u", "dst": "v"}, {"id": "b", "src": "v", "dst": "u"}],
+}
+
+
+def _float_discrepancies(psi, sample) -> list[float]:
+    """|psi(x y) - psi(y sigma(x))| per pair, each side converted to a float
+    as the float check of the identity did."""
+    t = 1j * psi.beta_sign
+    return [
+        abs(_as_complex(_reference_value(psi, x, y)) - _as_complex(_reference_value(psi, y, psi.evolve(x, t))))
+        for x, y in sample
+    ]
+
+
+@pytest.fixture(scope="module")
+def eta_field(figb):
+    """The field Q(eta), eta^4 + eta^3 = 1, of the figB standard weight."""
+    from cwkms.exact import FieldElement
+
+    lam = solve_2dcw(figb, MODE_STANDARD)[0].weight.lam
+    return next(v for v in lam.values() if isinstance(v, FieldElement)).field
+
+
+class TestExactDecisions:
+    def test_discrepancy_below_float_resolution_fails(self):
+        """lambda = 1 +- 10^-30 on a 2-cycle rounds to 1.0 as a float, so a
+        float check sees no discrepancy under the opposite convention."""
+        graph = build_graph(TWO_CYCLE_SPEC)
+        eps = F(1, 10**30)
+        w = GraphWeight(g={"u": F(1), "v": F(1)}, lam={"a": 1 + eps, "b": 1 - eps})
+        psi = functional_from_graph_weight(graph, w, beta_sign=1)
+        monos = all_monomials(graph, 2)
+        sample = [(x, y) for x in monos for y in monos]
+        assert max(_float_discrepancies(psi, sample)) == 0.0
+        rep = kms_check(psi, sample, tol=0)
+        assert not rep.passed
+        assert rep.max_discrepancy == pytest.approx(2e-30, rel=1e-6)
+        assert rep.worst_pair is not None and rep.tol == 0.0
+        # the convention the weight satisfies passes at tol = 0, exactly
+        rep = kms_check(functional_from_graph_weight(graph, w), sample, tol=0)
+        assert rep.passed and rep.max_discrepancy == 0.0 and rep.worst_pair is None
+
+    def test_negative_tol_fails_an_exact_sweep(self, figb):
+        psi = functional_from_graph_weight(figb.skeleton, random_faithful_weight(random.Random(2), figb.skeleton))
+        monos = all_monomials(figb.skeleton, 1)
+        rep = kms_check(psi, [(x, y) for x in monos for y in monos], tol=F(-1, 10**10))
+        assert not rep.passed and rep.max_discrepancy == 0.0
+
+    def test_kms_check_never_takes_the_numeric_flow(self, kms_cases, monkeypatch, figb):
+        """t = +-i keeps _power_it on its exact branch for every case; the
+        cmath branch stays for real t."""
+        import cwkms.pathalgebra
+
+        class NoCmath:
+            @staticmethod
+            def exp(z):
+                raise AssertionError("numeric flow reached")
+
+        monkeypatch.setattr(cwkms.pathalgebra, "cmath", NoCmath)
+        for case in KMS_CASES:
+            psi, sample = kms_cases[case]
+            kms_check(psi, sample, TOL)
+        psi = functional_from_graph_weight(figb.skeleton, random_faithful_weight(random.Random(4), figb.skeleton))
+        with pytest.raises(AssertionError, match="numeric flow"):
+            psi.evolve(edge_isometry(figb.skeleton, "a"), 0.37)
+
+    def test_gauge_flags_a_functional_nonzero_off_balance(self, figb):
+        """A stub functional that is 1 on every monomial breaks gauge
+        invariance exactly on the monomials with |mu| != |nu|."""
+        sk = figb.skeleton
+        base = functional_from_graph_weight(sk, random_faithful_weight(random.Random(6), sk))
+
+        class Constant(type(base)):
+            def eval(self, m):
+                self.check_graph(m)
+                return F(1)
+
+        stub = Constant(base.graph, base.weight)
+        sa, pu = edge_isometry(sk, "a"), vertex_projection(sk, "u")
+        off = [sa, sa.star()]
+        rep = gauge_check(stub, [pu, *off, monomial(sk, ["a"], ["a"])])
+        assert not rep.passed and rep.checked == 4 and rep.violations == off
+        assert gauge_check(stub, [pu, monomial(sk, ["a"], ["a"])]).passed
+        assert gauge_check(base, [pu, *off]).passed
+
+    def test_gauge_rank2_offbalance_factor_is_checked(self, figb, figb_boundary):
+        w = solve_2dcw(figb, MODE_STANDARD)[0].weight
+        psi = functional_from_rank2(figb, w)
+        sk, bd = figb.skeleton, figb_boundary.graph
+        balanced = Rank2Monomial(vertex_projection(sk, "u"), vertex_projection(bd, "a"))
+        skewed = Rank2Monomial(vertex_projection(sk, "u"), edge_isometry(bd, "s1:0"))
+        assert balanced.balanced() and not skewed.balanced()
+        assert gauge_check(psi, [balanced, skewed]).passed
+
+    def test_gauge_foreign_balanced_monomial_raises(self, figb):
+        g1 = build_graph(FIG_B_SPEC)
+        spec = {**FIG_B_SPEC, "edges": FIG_B_SPEC["edges"] + [{"id": "g", "src": "z", "dst": "u"}]}
+        g3 = build_graph(spec)
+        psi = functional_from_graph_weight(g1, random_faithful_weight(random.Random(5), g1))
+        foreign = vertex_projection(g3, "u")
+        assert foreign.balanced()
+        with pytest.raises(GraphMismatch):
+            gauge_check(psi, [vertex_projection(g1, "u"), foreign])
+        # an equal graph built anew is the same graph
+        assert gauge_check(psi, [vertex_projection(build_graph(FIG_B_SPEC), "u")]).passed
+
+    @given(
+        field=st.booleans(),
+        beta_sign=st.sampled_from([-1, 1]),
+        lam=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(1, 4)), min_size=6, max_size=6),
+        g=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=5, max_size=5),
+        picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_check_agrees_with_float_reference(self, figb, eta_field, field, beta_sign, lam, g, picks):
+        """Random exact weights on the figB skeleton, rational or in Q(eta),
+        under both conventions: the exact check and a float reference agree
+        on ``passed``, ``pairs_checked`` and the worst pair, the first pair
+        whose float discrepancy is the maximum up to rounding."""
+        from cwkms.exact import FieldElement
+
+        sk = figb.skeleton
+        eta = FieldElement(eta_field, (0, 1)) if field else F(0)
+        w = GraphWeight(
+            g={v: F(n, d) for v, (n, d) in zip(sk.vertices, g)},
+            lam={e.id: F(a, d) + F(b, d) * eta for e, (a, b, d) in zip(sk.edges, lam)},
+        )
+        psi = functional_from_graph_weight(sk, w, beta_sign=beta_sign)
+        monos = all_monomials(sk, 2)
+        # x x* is never zero, so every other pair has a non-zero product
+        sample = [
+            (monos[i % len(monos)], monos[j % len(monos)] if k % 2 else monos[i % len(monos)].star())
+            for k, (i, j) in enumerate(picks)
+        ]
+        rep = kms_check(psi, sample, TOL)
+        ds = _float_discrepancies(psi, sample)
+        top = max(ds)
+        assert rep.pairs_checked == len(sample)
+        assert rep.passed == (top <= float(TOL))
+        if top <= 1e-12:
+            assert rep.worst_pair is None and rep.max_discrepancy == 0.0
+            return
+        first = next(k for k, d in enumerate(ds) if d >= top * (1 - 1e-12))
+        assert rep.worst_pair[0] is sample[first][0] and rep.worst_pair[1] is sample[first][1]
+        assert rep.max_discrepancy == pytest.approx(top, rel=1e-12)
