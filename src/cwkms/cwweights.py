@@ -29,7 +29,7 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
-    as_fraction,
+    as_tolerance,
     isolate_positive_roots,
     scalar_abs_leq,
     scalar_eq,
@@ -154,7 +154,7 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
     """Check both weight equations plus the coupling demanded by the mode."""
     if not w.is_total_on(c):
         raise MissingValue("rank-2 weight is not total on the complex")
-    tol = as_fraction(tol)
+    tol = as_tolerance(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
     bres = boundary_weight_residuals(c, w.lam, w.eta_at)
     coupling: dict[str, object] = {}
@@ -361,7 +361,7 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     if det.is_zero():
         scale_roots: list = []
     elif all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
-        scale_roots = isolate_positive_roots(det, as_fraction(eps))
+        scale_roots = isolate_positive_roots(det, eps)
     else:
         scale_roots = _poly_positive_roots_numeric(det)
     solutions = []
@@ -488,7 +488,7 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
     (eta_b), the skeleton equation, and, when flagged tight, the matching
     conditions lt = lam and eta_a = eta_b."""
     _require_triangular(c)
-    tol = as_fraction(tol)
+    tol = as_tolerance(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
     res_a = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_a[fid], 1)
     res_b = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_b[fid], -1)

@@ -5,12 +5,14 @@ Everything here works over ``fractions.Fraction`` or over elements of a
 integer denominator, so results are exact and deterministic.  Floating point
 enters only through the ``to_float`` conversions used at report time.
 
-The root machinery follows the classical exact recipe: square-free reduction
-by gcd, Sturm sequences for root counting, and interval bisection for
-isolation and refinement; every sign at a rational point is an integer
-Horner evaluation.  A number-field sign is decided by an integer interval
-enclosure first, by a gcd with the modulus only when the enclosure contains
-0, and then by refining the root's interval.
+Roots are isolated in integers: square-free reduction by a primitive
+pseudo-remainder sequence, Descartes' rule of signs on integer Taylor shifts
+for isolation (Vincent-Collins-Akritas bisection), and one bisection over a
+doubling denominator for refinement; every sign at a rational point is an
+integer Horner evaluation.  A number-field sign is decided by an integer
+interval enclosure first, by a gcd with the modulus and its signs at the
+interval's ends only when the enclosure contains 0, and then by refining
+the root's interval.
 
 The solver's determinants det(x*W - I) are reversed characteristic
 polynomials, (-1)**n * x**n * chi_W(1/x).  ``charpoly`` computes chi_A of an
@@ -50,9 +52,21 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def as_tolerance(value) -> Fraction:
+    """``value``, a bound such as a residual tolerance, as a Fraction.  It must
+    be finite and within the float range, as reports print it as a float;
+    a negative bound is accepted."""
+    try:
+        tol = as_fraction(value)
+        float(tol)
+    except (OverflowError, ValueError):
+        raise InputError(f"bound must be a finite number a float can hold, got {value!r}") from None
+    return tol
+
+
 def _positive_width(eps) -> Fraction:
     # no interval around an irrational root ever reaches width 0
-    eps = as_fraction(eps)
+    eps = as_tolerance(eps)
     if eps <= 0:
         raise InputError(f"root isolation width must be positive, got {eps}")
     return eps
@@ -158,9 +172,6 @@ class Poly:
             raise ArithmeticError("polynomial division was expected to be exact")
         return q
 
-    def derivative(self) -> "Poly":
-        return Poly([c * i for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         acc = None
         for c in reversed(self.coeffs):
@@ -174,58 +185,9 @@ class Poly:
         vlo, vhi, s = _horner_enclosure(*self.ints, lo, hi)
         return Fraction(vlo, s), Fraction(vhi, s)
 
-    def primitive(self) -> "Poly":
-        """Integer-primitive form with positive leading coefficient.
-
-        Only meaningful for Fraction coefficients.
-        """
-        p = self.pos_normalized()
-        return -p if p.coeffs and p.coeffs[-1] < 0 else p
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def pos_normalized(self) -> "Poly":
-        """Divide by the positive content; keeps every coefficient sign.
-
-        Only meaningful for Fraction coefficients; used to hold coefficient
-        growth down in remainder sequences.  The content of reduced a_i/b_i
-        is gcd(a_i)/lcm(b_i), so the integers over the lcm divide by it."""
-        ints, _ = self.ints
-        g = _int_gcd(*ints)
-        return Poly([Fraction(v // g) for v in ints]) if g else self
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd over the fraction field of the coefficients.
-
-        Fraction-coefficient inputs run a content-normalized remainder
-        sequence so intermediate coefficients stay near primitive size."""
-        rational = all(isinstance(c, Fraction) for c in self.coeffs + other.coeffs)
-        a, b = self, other
-        if rational:
-            a, b = a.pos_normalized(), b.pos_normalized()
-        while not b.is_zero():
-            r = a.divmod(b)[1]
-            if rational and not r.is_zero():
-                r = r.pos_normalized()
-            a, b = b, r
-        return a.monic() if not a.is_zero() else a
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.exact_div(g).monic()
-
     def sign_at(self, x: Fraction) -> int:
         """Sign at a rational point, by integer Horner (Fraction coefficients)."""
-        v = _horner_enclosure(*self.ints, x, x)[0]
-        return (v > 0) - (v < 0)
+        return _sign_at(self.ints[0], *x.as_integer_ratio())
 
     def __repr__(self):
         if self.is_zero():
@@ -265,44 +227,127 @@ def _is_zero(c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and root isolation (Fraction coefficients only)
+# Integer polynomials and root isolation
 # ---------------------------------------------------------------------------
 
-def sturm_sequence(p: Poly) -> list[Poly]:
-    """Sturm chain of ``p``; each term is content-normalized (a positive
-    rescaling, which leaves all sign variations unchanged)."""
-    seq = [p.pos_normalized(), p.derivative().pos_normalized()]
-    while not seq[-1].is_zero() and seq[-1].degree > 0:
-        rem = seq[-2].divmod(seq[-1])[1]
-        if rem.is_zero():
-            break
-        seq.append((-rem).pos_normalized())
-    if seq[-1].is_zero():
-        seq.pop()
-    return seq
+def _sign_at(f: list[int], a: int, d: int) -> int:
+    """Sign of sum(f[i] * x**i) at x = a/d, d > 0: integer Horner on d**n f(a/d)."""
+    v, scale = (f[-1] if f else 0), 1
+    for c in f[-2::-1]:
+        scale *= d
+        v = v * a + c * scale
+    return (v > 0) - (v < 0)
 
 
-def _sign_variations(values) -> int:
-    signs = [v for v in ((x > 0) - (x < 0) for x in values) if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _primitive(f: list[int]) -> list[int]:
+    """Nonzero integer ``f`` over its content, with positive leading coefficient."""
+    g = _int_gcd(*f)
+    return [v // g for v in f] if f[-1] > 0 else [-v // g for v in f]
 
 
-def count_roots(p: Poly, lo: Fraction, hi: Fraction, seq: list[Poly] | None = None) -> int:
-    """Number of distinct real roots of square-free ``p`` in the open
-    interval (lo, hi); endpoints must not be roots."""
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
-    if seq is None:
-        seq = sturm_sequence(p)
-    va = _sign_variations([q.sign_at(lo) for q in seq])
-    vb = _sign_variations([q.sign_at(hi) for q in seq])
-    return va - vb
+def _pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """(r, s) with s * a = q * b + r, deg r < deg b, for b with positive
+    leading coefficient: each step scales by lead(b) / gcd(lead(b), top) > 0."""
+    r, d, lb, s = list(a), len(b) - 1, b[-1], 1
+    for k in range(len(a) - 1, d - 1, -1):
+        q = r.pop()
+        if q:
+            g = _int_gcd(q, lb)
+            if g != lb:
+                r = [v * (lb // g) for v in r]
+                s *= lb // g
+            q //= g
+            for i in range(d):
+                r[k - d + i] -= q * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r, s
 
 
-def cauchy_root_bound(p: Poly) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, with positive leading coefficient, of nonzero integer
+    polynomials: the primitive pseudo-remainder sequence (Knuth, TAOCP 2,
+    4.6.1)."""
+    a, b = _primitive(a), _primitive(b)
+    while r := _pseudo_rem(a, b)[0]:  # deg a < deg b: r = a, and they swap
+        a, b = b, _primitive(r)
+    return b
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials, b primitive and dividing a, so that
+    the quotient is integral (Gauss's lemma)."""
+    r, d, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(a) - d)
+    for k in range(len(a) - 1, d - 1, -1):
+        c = q[k - d] = r[k] // lb
+        for i in range(d + 1):
+            r[k - d + i] -= c * b[i]
+    if any(r):
+        raise ArithmeticError("polynomial division was expected to be exact")
+    return q
+
+
+def _shift1(f: list[int]) -> list[int]:
+    """Coefficients of f(x + 1): Horner's scheme, n(n + 1)/2 additions."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] += f[j + 1]
+    return f
+
+
+def _descartes(h: list[int]) -> int:
+    """min(2, V) for V the sign variations of (x + 1)**n h(1/(x + 1)), whose
+    positive roots are the roots of h in (0, 1): V bounds their number and
+    equals it when V <= 1 (Descartes' rule of signs)."""
+    signs = [v > 0 for v in _shift1(h[::-1]) if v]
+    return min(2, sum(s != t for s, t in zip(signs, signs[1:])))
+
+
+def _isolate(f: list[int]) -> list:
+    """The positive roots of the square-free integer ``f``, f(0) != 0, in
+    increasing order: a Fraction for a root that a bisection point hits,
+    else a dyadic open interval (lo, hi) holding one root, which may end at
+    such a Fraction.  A node (h, c, j) has h(x) = 2**e f(2**k (c + x)/2**j)
+    for 0 < x < 1; a root of h at 0 or 1 leaves Descartes' count valid."""
+    lead, top = abs(f[-1]), max(abs(v) for v in f[:-1])
+    k = ((lead + top) // lead).bit_length()  # 2**k > 1 + top/lead, Cauchy's bound
+    out: list = []
+    stack = [([v << (k * i) for i, v in enumerate(f)], 0, 0)]
+    while stack:
+        h, c, j = stack.pop()
+        count = _descartes(h)
+        if count == 1:
+            out.append((Fraction(c << k, 1 << j), Fraction((c + 1) << k, 1 << j)))
+        elif count:
+            left = [v << (len(h) - 1 - i) for i, v in enumerate(h)]  # 2**n h(x/2)
+            right = _shift1(left)
+            if not right[0]:  # the midpoint is a root
+                out.append(Fraction((2 * c + 1) << k, 1 << (j + 1)))
+            stack += [(left, 2 * c, j + 1), (right, 2 * c + 1, j + 1)]
+    # a midpoint root comes before the interval it starts (the sort is stable)
+    return sorted(out, key=lambda x: x if isinstance(x, Fraction) else x[0])
+
+
+def _bisect(f: list[int], lo: Fraction, hi: Fraction, width: Fraction):
+    """Halve (lo, hi), across which ``f`` changes sign at its one root there,
+    until the width is at most ``width``: the interval, or the root once a
+    midpoint hits it.  The ends are integers over one denominator, which
+    doubles at each step."""
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    sa = _sign_at(f, a, d)
+    while (b - a) * width.denominator > width.numerator * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        s = _sign_at(f, m, d)
+        if not s:
+            return Fraction(m, d)
+        if s == sa:
+            a = m
+        else:
+            b = m
+    return Fraction(a, d), Fraction(b, d)
 
 
 @dataclass
@@ -320,10 +365,6 @@ class AlgebraicScalar:
     lo: Fraction | None = None
     hi: Fraction | None = None
     _field: "NumberField | None" = None
-
-    @staticmethod
-    def from_rational(r) -> "AlgebraicScalar":
-        return AlgebraicScalar(rational=as_fraction(r))
 
     @staticmethod
     def from_root(poly: Poly, lo: Fraction, hi: Fraction) -> "AlgebraicScalar":
@@ -344,26 +385,15 @@ class AlgebraicScalar:
         return (self.rational, self.rational) if self.is_rational else (self.lo, self.hi)
 
     def refine(self, eps) -> "AlgebraicScalar":
-        """Narrow the isolating interval below ``eps`` > 0 (no-op for rationals)."""
+        """Narrow the isolating interval below ``eps`` > 0 (no-op for
+        rationals); a midpoint that hits the root makes it rational."""
         eps = _positive_width(eps)
-        if self.is_rational:
-            return self
-        slo = self.poly.sign_at(self.lo)
-        lo, hi = self.lo, self.hi
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            sm = self.poly.sign_at(mid)
-            if sm == 0:
-                # Landed exactly on the root: collapse to a rational.
-                self.rational = mid
-                self.poly = None
-                self.lo = self.hi = None
-                return self
-            if sm == slo:
-                lo = mid
+        if not self.is_rational:
+            x = _bisect(self.poly.ints[0], self.lo, self.hi, eps)
+            if isinstance(x, Fraction):
+                self.rational, self.poly, self.lo, self.hi = x, None, None, None
             else:
-                hi = mid
-        self.lo, self.hi = lo, hi
+                self.lo, self.hi = x
         return self
 
     def to_float(self, eps=DECIMAL_WIDTH) -> float:
@@ -408,84 +438,52 @@ class AlgebraicScalar:
         return f"AlgebraicScalar(root of {self.poly} in ({self.lo}, {self.hi}))"
 
 
-def _split_point(sf: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside (a, b) that is not a root of ``sf``."""
-    for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)):
-        m = a + (b - a) * t
-        if sf.sign_at(m):
-            return m
-    k = 4
-    while True:
-        m = a + (b - a) / k
-        if sf.sign_at(m):
-            return m
-        k += 1
-
-
-def _isolating_intervals(sf: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, in increasing order, each holding exactly one
-    positive root of the square-free ``sf``; no endpoint is a root, so ``sf``
-    changes sign across each interval."""
-    seq = sturm_sequence(sf)
-    bound = cauchy_root_bound(sf)
-    while sf.sign_at(bound) == 0:
-        bound += 1
-    stack = [(Fraction(0), bound, count_roots(sf, Fraction(0), bound, seq))]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while stack:
-        a, b, n = stack.pop()
-        if n == 1:
-            isolated.append((a, b))
-        elif n > 1:
-            mid = _split_point(sf, a, b)
-            nl = count_roots(sf, a, mid, seq)
-            stack.append((a, mid, nl))
-            stack.append((mid, b, n - nl))
-    return sorted(isolated)
-
-
 def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
     """All real roots > 0 of ``p`` in increasing order, each isolated to
-    interval width <= eps > 0.
+    interval width <= eps > 0.  The irrational roots share one ``poly``: the
+    primitive square-free part of p with its rational roots divided out.
 
-    The roots of the primitive square-free part are isolated with Sturm
-    counts plus bisection.  A rational root has a denominator dividing the
-    leading coefficient a_n, and such fractions lie at least 1/a_n**2 apart,
-    so it is the closest fraction with denominator <= a_n to the midpoint of
-    its interval refined below width 1/(2 a_n**2).  The irrational roots
-    are roots of the quotient by the rational ones.
+    All in integers (Collins and Akritas, SYMSAC 1976; Rouillier and
+    Zimmermann, J. Comput. Appl. Math. 162, 2004).  The square-free part is
+    p over gcd(p, p'), from a primitive pseudo-remainder sequence.  Its
+    roots in (0, 2**k), 2**k above Cauchy's bound, are isolated by bisection
+    with integer Taylor shifts: the sign variations V of
+    (x + 1)**n h(1/(x + 1)) exceed the number of roots of h in (0, 1) by an
+    even number (Descartes' rule of signs), so V = 0 proves that an interval
+    holds no root and V = 1 that it holds exactly one.  A midpoint that is a
+    root is kept as an exact rational and divided out, so no interval ends at
+    a root of the quotient q.  Any other rational root has a denominator
+    dividing the leading coefficient a_n of q; such fractions lie at least
+    1/a_n**2 apart, so it is the closest fraction with denominator <= a_n to
+    the midpoint of its interval refined below width 1/(2 a_n**2).  The
+    irrational roots are refined to ``eps`` last.
     """
     eps = _positive_width(eps)
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-
-    # strip roots at zero
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    work = Poly(coeffs)
-    if work.degree <= 0:
+    f = p.ints[0]
+    f = f[next(i for i, v in enumerate(f) if v):]  # strip roots at zero
+    if len(f) < 2:
         return []
-
-    sf = work.squarefree_part().primitive()
-    lead = int(sf.coeffs[-1])
-    intervals = _isolating_intervals(sf)
-    found: list[Fraction | None] = []
-    for a, b in intervals:
-        probe = AlgebraicScalar.from_root(sf, a, b).refine(Fraction(1, 2 * lead * lead))
-        r = probe.rational if probe.is_rational else ((probe.lo + probe.hi) / 2).limit_denominator(lead)
-        # (a, b) holds exactly one root of sf; the candidate may be another one
-        found.append(r if a < r < b and sf.sign_at(r) == 0 else None)
-    rest = sf
-    rationals = [r for r in found if r is not None]
-    if rationals:
-        for r in rationals:
-            rest = rest.exact_div(Poly([-r, Fraction(1)]))
-        rest = rest.primitive()
-        intervals = _isolating_intervals(rest)
-    # the irrational roots keep their increasing order in both isolations
-    irrational = iter(AlgebraicScalar.from_root(rest, a, b).refine(eps) for a, b in intervals)
-    return [AlgebraicScalar.from_rational(r) if r is not None else next(irrational) for r in found]
+    sf = _primitive(_exact_quo(f, _poly_gcd(f, [i * v for i, v in enumerate(f)][1:])))
+    roots = _isolate(sf)
+    for x in roots:
+        if isinstance(x, Fraction):
+            sf = _exact_quo(sf, [-x.numerator, x.denominator])
+    lead, rest = sf[-1], sf
+    for i, x in enumerate(roots):
+        if isinstance(x, tuple):
+            x = _bisect(sf, *x, Fraction(1, 2 * lead * lead))
+            if isinstance(x, tuple):
+                r = ((x[0] + x[1]) / 2).limit_denominator(lead)
+                # sf has one root in x; the candidate may be another one
+                x = r if x[0] < r < x[1] and _sign_at(sf, *r.as_integer_ratio()) == 0 else x
+            if isinstance(x, Fraction):
+                rest = _exact_quo(rest, [-x.numerator, x.denominator])
+            roots[i] = x
+    poly = Poly.from_ints(rest)
+    return [AlgebraicScalar(x) if isinstance(x, Fraction) else AlgebraicScalar(None, poly, *x).refine(eps)
+            for x in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +500,11 @@ class NumberField:
     """
 
     def __init__(self, modulus: Poly, root: AlgebraicScalar):
-        self.modulus = modulus.primitive()
-        if self.modulus.degree < 1:
+        if modulus.degree < 1:
             raise ValueError("modulus must be nonconstant")
         self.root = root
-        self.modulus_ints = [int(c) for c in self.modulus.coeffs]
+        self.modulus_ints = _primitive(modulus.ints[0])
+        self.modulus = Poly.from_ints(self.modulus_ints)
 
     def element(self, coeffs) -> "FieldElement":
         cs = coeffs.coeffs if isinstance(coeffs, Poly) else [as_fraction(c) for c in coeffs]
@@ -515,18 +513,8 @@ class NumberField:
     def _reduce(self, nums: list[int], den: int) -> "FieldElement":
         """nums/den with nums reduced by integer pseudo-division by the
         primitive modulus: s * nums = q * m + rem, and rem over den * s."""
-        m = self.modulus_ints
-        d, lead = len(m) - 1, m[-1]
-        for k in range(len(nums) - 1, d - 1, -1):
-            if nums[k]:
-                t = lead // _int_gcd(nums[k], lead)
-                if t > 1:
-                    nums = [v * t for v in nums[:k + 1]]
-                    den *= t
-                q = nums[k] // lead
-                for i in range(d):
-                    nums[k - d + i] -= q * m[i]
-        return FieldElement.lowest(self, nums[:d], den)
+        rem, s = _pseudo_rem(nums, self.modulus_ints)
+        return FieldElement.lowest(self, rem, den * s)
 
     def gen(self) -> "FieldElement":
         return self.element(Poly.x())
@@ -684,12 +672,13 @@ class FieldElement:
         """Exact sign of the element under the designated real embedding:
         by its integer interval enclosure first, by a gcd with the modulus
         once the enclosure contains 0, then by refining the interval."""
-        if not self.nums:
-            return 0
+        nums = self.nums
+        if len(nums) <= 1:  # a rational, over den > 0
+            return (nums[0] > 0) - (nums[0] < 0) if nums else 0
         root = self.field.root
         gcd_checked = False
         while True:
-            vlo, vhi, _ = _horner_enclosure(self.nums, self.den, *root.bounds())
+            vlo, vhi, _ = _horner_enclosure(nums, self.den, *root.bounds())
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -697,13 +686,16 @@ class FieldElement:
             if root.is_rational:
                 return 0  # the enclosure at a point is the value
             if not gcd_checked:
-                # A nonzero representative can vanish at the root of a
-                # reducible modulus; its enclosure then contains 0.  The
-                # interval endpoints are never roots of the modulus or of g.
-                g = self.rep.gcd(self.field.modulus)
-                if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
+                # A nonzero representative vanishes at the root of a
+                # reducible modulus iff its gcd g with the modulus does.  g
+                # divides the square-free modulus: it has at most that one
+                # simple root in the interval, so once neither end is a root
+                # of g, it vanishes there iff its signs at the ends differ.
+                g = _poly_gcd(nums, self.field.modulus_ints)
+                ends = _sign_at(g, *root.lo.as_integer_ratio()) * _sign_at(g, *root.hi.as_integer_ratio())
+                if ends < 0:
                     return 0
-                gcd_checked = True
+                gcd_checked = ends > 0
             root.refine(root.width() / 4)
 
     def to_float(self, eps=DECIMAL_WIDTH) -> float:
@@ -752,6 +744,8 @@ def scalar_eq(a, b) -> bool:
 def scalar_abs_leq(x, tol: Fraction) -> bool:
     if isinstance(x, float):
         return abs(x) <= float(tol)
+    if isinstance(x, FieldElement) and len(x.nums) <= 1:
+        x = Fraction(x.nums[0], x.den) if x.nums else Fraction(0)
     return not abs(x) > tol
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .complexes import Oriented2Complex, boundary_graph
 from .cwweights import Rank2Weight
 from .errors import GraphMismatch, InputError, MissingValue, NonpositiveWeight
-from .exact import as_fraction, scalar_abs_leq, scalar_sign, scalar_to_float
+from .exact import as_tolerance, scalar_abs_leq, scalar_sign, scalar_to_float
 from .graphs import DirectedGraph
 from .solver import GraphWeight
 
@@ -239,10 +239,11 @@ class WeightFunctional:
             raise GraphMismatch("monomial over a different graph")
         self._equal_graphs[id(g)] = g
 
-    def evolve(self, m: PathMonomial, t) -> PathMonomial:
+    def evolve(self, m: PathMonomial, t, checked: set | None = None) -> PathMonomial:
         """Apply sigma_t; ``t`` may be real or purely imaginary (s*1j with
-        integer s keeps exact coefficients)."""
-        self.check_positive(m, set())
+        integer s keeps exact coefficients).  The edges in ``checked`` (see
+        ``check_positive``) are not checked again."""
+        self.check_positive(m, set() if checked is None else checked)
         return m.scaled(_power_it(self.lam_of_path(m.mu) / self.lam_of_path(m.nu), t))
 
     def check_positive(self, m: PathMonomial, checked: set) -> None:
@@ -305,8 +306,11 @@ class Rank2Functional:
         self.skeleton.check_positive(m.skeleton_part, checked)
         self.boundary.check_positive(m.boundary_part, checked)
 
-    def evolve(self, m: Rank2Monomial, t) -> Rank2Monomial:
-        return Rank2Monomial(self.skeleton.evolve(m.skeleton_part, t), self.boundary.evolve(m.boundary_part, t))
+    def evolve(self, m: Rank2Monomial, t, checked: set | None = None) -> Rank2Monomial:
+        checked = set() if checked is None else checked
+        return Rank2Monomial(
+            self.skeleton.evolve(m.skeleton_part, t, checked), self.boundary.evolve(m.boundary_part, t, checked)
+        )
 
 
 def functional_from_graph_weight(graph: DirectedGraph, w: GraphWeight, beta_sign: int = -1) -> WeightFunctional:
@@ -366,11 +370,12 @@ def kms_check(psi, sample, tol=Fraction(1, 10**10)) -> KMSReport:
     with some y x non-zero: sigma(x) is a nonzero multiple of x, so y x and
     y sigma(x) vanish together.  The memo is keyed by ``id(x)`` and holds
     every x, so an id cannot be reused while the call runs.  The sign of
-    lambda is checked once per edge of the x's, so a non-positive lambda
-    raises NonpositiveWeight as when each pair was evolved on its own.  The
-    worst pair is the first with the largest |d| > 0.
+    lambda is checked once per edge of the x's, ``evolve`` included, so a
+    non-positive lambda raises NonpositiveWeight as when each pair was
+    evolved on its own.  The worst pair is the first with the largest
+    |d| > 0.
     """
-    tol = as_fraction(tol)
+    tol = as_tolerance(tol)
     worst = None
     maxd = 0
     pairs = 0
@@ -387,7 +392,7 @@ def kms_check(psi, sample, tol=Fraction(1, 10**10)) -> KMSReport:
         rhs = 0
         if _meets(y, x):
             if memo[1] is None:
-                memo[1] = psi.evolve(x, t)
+                memo[1] = psi.evolve(x, t, checked)
             rhs = psi.product_value(y, memo[1])
         if lhs == rhs:
             continue

@@ -43,7 +43,7 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
-    as_fraction,
+    as_tolerance,
     charpoly,
     det_bareiss_poly,
     isolate_positive_roots,
@@ -119,7 +119,7 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
             e.id for e in graph.edges if e.id not in w.lam
         ]
         raise MissingValue(f"weight not total on graph, missing {missing}")
-    tol = as_fraction(tol)
+    tol = as_tolerance(tol)
     residuals = {}
     passed = True
     exact = True

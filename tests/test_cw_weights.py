@@ -15,7 +15,7 @@ from cwkms.cwweights import (
     verify_rank2,
     verify_triangular,
 )
-from cwkms.errors import MissingValue, ModeError, NonTriangularFace
+from cwkms.errors import InputError, MissingValue, ModeError, NonTriangularFace
 from cwkms.exact import Poly, scalar_to_float
 from cwkms.fixtures import (
     fig_b_standard_weight,
@@ -23,7 +23,8 @@ from cwkms.fixtures import (
     fig_b_two_parameter_weight,
     monogon_triangle_spec,
 )
-from cwkms.solver import boundary_matrix, det_polynomial
+from cwkms.pathalgebra import all_monomials, functional_from_graph_weight, kms_check
+from cwkms.solver import GraphWeight, boundary_matrix, det_polynomial, verify_graph_weight
 
 TOL = F(1, 10**10)
 
@@ -290,3 +291,33 @@ class TestTriangular:
         rep = verify_triangular(gamma_complex, w, TOL)
         assert not rep.passed
         assert any(k.startswith("eta[") for k in rep.tightness_residuals)
+
+
+def _tolerance_entry_points(figb, gamma_complex) -> dict:
+    """Each library call that reads a residual tolerance, on input it passes."""
+    tri = TestTriangular().gamma_weight(gamma_complex)
+    sk = gamma_complex.skeleton
+    psi = functional_from_graph_weight(sk, GraphWeight(tri.g, tri.lambda_tilde))
+    monos = all_monomials(sk, 1)
+    w = fig_b_standard_weight(F(3, 4), c=F(1))
+    return {
+        "verify_graph_weight": lambda tol: verify_graph_weight(sk, GraphWeight(tri.g, tri.lambda_tilde), tol),
+        "verify_rank2": lambda tol: verify_rank2(figb, w, tol),
+        "verify_triangular": lambda tol: verify_triangular(gamma_complex, tri, tol),
+        "kms_check": lambda tol: kms_check(psi, [(x, y) for x in monos for y in monos], tol),
+    }
+
+
+@pytest.mark.parametrize(
+    "tol", [float("inf"), float("-inf"), float("nan"), 10**400], ids=["inf", "-inf", "nan", "1e400"]
+)
+@pytest.mark.parametrize("entry", ["verify_graph_weight", "verify_rank2", "verify_triangular", "kms_check"])
+def test_tolerance_a_float_cannot_hold_is_an_input_error(figb, gamma_complex, entry, tol):
+    """NaN, +-inf and bounds beyond the float range raise InputError (they
+    raised OverflowError or ValueError), and a negative bound is still read:
+    it fails even where every residual is an exact 0."""
+    call = _tolerance_entry_points(figb, gamma_complex)[entry]
+    with pytest.raises(InputError, match="a float can hold"):
+        call(tol)
+    if entry != "verify_rank2":  # the others pass at tol = 0
+        assert call(0).passed and not call(-1).passed

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwkms import exact
 from cwkms.errors import InputError, ZeroDivisor, ZeroPolynomial
 from cwkms.exact import (
     AlgebraicScalar,
     FieldElement,
     NumberField,
     Poly,
-    count_roots,
+    as_tolerance,
     charpoly,
     det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
+    scalar_abs_leq,
     scalar_to_float,
-    sturm_sequence,
 )
 
 from .conftest import det_exact
@@ -112,18 +113,20 @@ def test_sign_at_is_the_sign_of_fraction_evaluation(coeffs, x):
     assert Poly([]).sign_at(x) == 0
 
 
-def test_sturm_counts_quadratic():
+def _descartes_count(p: Poly, lo: int, hi: int) -> int:
+    """The isolation's root count of p on (lo, hi): its count on (0, 1) of
+    p(lo + (hi - lo) x)."""
+    h = Poly([])
+    for c in reversed(p.coeffs):
+        h = h * Poly.from_ints([lo, hi - lo]) + Poly([c])
+    return exact._descartes(h.ints[0])
+
+
+def test_descartes_counts_quadratic():
     p = Poly.from_ints([-2, 0, 1])  # x^2 - 2
-    assert count_roots(p, F(0), F(2)) == 1
-    assert count_roots(p, F(-2), F(2)) == 2
-    assert count_roots(p, F(2), F(3)) == 0
-
-
-def test_sturm_sequence_is_normalized():
-    p = Poly.from_ints([-100, 0, 0, 700])
-    for term in sturm_sequence(p):
-        nums = [abs(c.numerator) for c in term.coeffs if c != 0]
-        assert nums, "zero chain term"
+    assert _descartes_count(p, 0, 2) == 1
+    assert _descartes_count(p, -2, 2) == 2
+    assert _descartes_count(p, 2, 3) == 0
 
 
 class TestIsolation:
@@ -216,6 +219,81 @@ class TestIsolation:
         found = isolate_positive_roots(p, EPS)
         assert sorted(f.rational for f in found) == sorted(F(r, 7) for r in roots_in)
 
+    def test_midpoint_root_next_to_an_irrational_one(self):
+        # (2x - 1)(2x^2 - 1): the bisection of (0, 4) reaches 1/2 as a
+        # midpoint, and 1/sqrt(2) lies in the half that starts there
+        half, root = isolate_positive_roots(Poly.from_ints([-1, 2]) * Poly.from_ints([-1, 0, 2]), EPS)
+        assert half.rational == F(1, 2)
+        assert root.poly == Poly.from_ints([-1, 0, 2]) and F(1, 2) <= root.lo < root.hi <= 1
+        assert root.width() <= EPS and abs(root.to_float() - 2**-0.5) < 1e-15
+
+    @pytest.mark.parametrize(
+        "planted", [[F(1, 2)], [F(1, 4), F(1, 2)], [F(3, 8), F(1, 2), F(3, 4)], [F(1, 4), F(3, 8)]]
+    )
+    def test_dyadic_midpoint_roots_keep_their_order(self, planted):
+        # dyadic roots beside sqrt(3): the bisection hits 1/2 in the second
+        # and third cases and 1/4 in the fourth, and an isolating interval
+        # then starts at the root it hit
+        p = Poly.from_ints([-3, 0, 1])
+        for r in planted:
+            p = p * Poly([-r, F(1)])
+        *rationals, sqrt3 = isolate_positive_roots(p, EPS)
+        assert [r.rational for r in rationals] == planted
+        assert sqrt3.poly == Poly.from_ints([-3, 0, 1]) and abs(sqrt3.to_float() - 3**0.5) < 1e-14
+
+
+def _sympy_poly(p: Poly, x):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in p.coeffs[::-1]], x)
+
+
+# roots on bisection points, near 0 and near Cauchy's bound, and ordinary ones
+root_choices = st.sampled_from(
+    [F(1, 2), F(1, 4), F(3, 8), F(3, 4), F(1), F(2), F(1, 3), F(7, 5)]
+    + [F(1, 1024), F(1, 1000), F(1000), F(1023), F(1024)]
+) | st.builds(F, st.integers(1, 40), st.integers(1, 12))
+factor_choices = st.one_of(
+    root_choices.map(lambda r: Poly([-r, F(1)])),
+    st.tuples(st.integers(1, 9), st.integers(1, 60)).map(lambda ab: Poly.from_ints([-ab[1], 0, ab[0]])),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(any).map(Poly.from_ints),
+)
+
+
+@given(st.lists(st.tuples(factor_choices, st.integers(1, 3)), min_size=1, max_size=4), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_isolation_agrees_with_sympy(factors, zeros):
+    """Repeated factors, dyadic and nearby rational roots, roots near 0 and
+    near the bound: the same distinct positive roots as sympy, rational
+    ones exact, irrational ones inside intervals of width <= eps, on the
+    primitive square-free part without its rational roots."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = Poly.from_ints([0] * zeros + [1])
+    for f, k in factors:
+        for _ in range(k):
+            p = p * f
+    roots = isolate_positive_roots(p, EPS)
+    sp = _sympy_poly(p, x)
+    want = sorted({r for r in sp.real_roots() if r > 0}, key=lambda r: r.evalf(30))
+    assert len(roots) == len(want)
+    rest = sp.sqf_part()
+    if rest.eval(0) == 0:  # a factor may vanish at 0 too
+        rest = rest.exquo(sympy.Poly(x, x))
+    for got, r in zip(roots, want):
+        assert got.is_rational == r.is_Rational
+        if got.is_rational:
+            assert sympy.Rational(got.rational.numerator, got.rational.denominator) == r
+            rest = rest.exquo(sympy.Poly(x - r, x))
+        else:
+            lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (got.lo, got.hi))
+            assert lo < r < hi and got.width() <= EPS
+    primitive = rest.primitive()[1]
+    if primitive.LC() < 0:
+        primitive = -primitive
+    for got in roots:
+        if not got.is_rational:
+            assert [F(int(c)) for c in primitive.all_coeffs()[::-1]] == list(got.poly.coeffs)
+
 
 class TestNumberField:
     def field(self):
@@ -269,14 +347,24 @@ class TestNumberField:
         assert (1 - x * x * 2).sign() == 0
         assert (x * x * 2 + x + 1).sign() == 1
 
+    def test_sign_when_an_interval_end_is_a_root_of_the_modulus(self):
+        # (2x - 1)(2x^2 - 1) with the root 1/sqrt(2) in (1/2, 1): gcd(x - 1/2,
+        # m) = 2x - 1 vanishes at the end 1/2, which decides nothing
+        root = AlgebraicScalar.from_root(Poly.from_ints([-1, 0, 2]), F(1, 2), F(1))
+        k = NumberField(Poly.from_ints([-1, 2]) * Poly.from_ints([-1, 0, 2]), root)
+        x = k.gen()
+        assert (x - F(1, 2)).sign() == 1
+        assert (x * x * 2 - 1).sign() == 0
+        assert (F(1, 2) - x).sign() == -1
+
     def test_decisive_signs_need_no_gcd(self, monkeypatch):
         k = self.field()
         x = k.gen()
 
-        def no_gcd(self, other):
-            raise AssertionError("a decisive enclosure must not reach Poly.gcd")
+        def no_gcd(a, b):
+            raise AssertionError("a decisive enclosure must not reach the gcd")
 
-        monkeypatch.setattr(Poly, "gcd", no_gcd)
+        monkeypatch.setattr(exact, "_poly_gcd", no_gcd)
         assert (x - 1).sign() == -1
         assert (x * 5 - 4).sign() == 1
         assert (x * x - F(1, 2)).sign() == 1
@@ -796,21 +884,29 @@ def _euclid_inverse(p: Poly, k: NumberField) -> Poly | None:
 
 
 def _reference_sign(p: Poly, k: NumberField) -> int:
-    """Sign of p at the field's root by Sturm counts and point values: 0 if
-    gcd(p, m) vanishes at the root, else the sign of p at the end of an
-    interval on which p has no root."""
+    """Sign of p at the field's root by sympy's root counts: 0 if gcd(p, m)
+    vanishes at the root, else the sign of p at the end of an isolating
+    interval of m, halved by sympy's signs of m, on which p has no root."""
+    sympy = pytest.importorskip("sympy")
     if p.is_zero():
         return 0
-    root = k.root
-    g = p.gcd(k.modulus)
-    if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
+    x = sympy.Symbol("x")
+    sp, m = _sympy_poly(p, x), _sympy_poly(k.modulus, x)
+    lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (k.root.lo, k.root.hi))
+    if sympy.gcd(sp, m).count_roots(lo, hi) > 0:
         return 0
-    sf = p.squarefree_part()
-    probe = AlgebraicScalar.from_root(root.poly, root.lo, root.hi)
-    while sf.degree >= 1 and (sf(probe.lo) == 0 or sf(probe.hi) == 0 or count_roots(sf, probe.lo, probe.hi)):
-        probe.refine(probe.width() / 2)
-    v = p(probe.lo)
-    return (v > 0) - (v < 0)
+    while sp.count_roots(lo, hi) > 0:
+        mid = (lo + hi) / 2
+        if m.eval(mid) == 0:
+            return int(sympy.sign(sp.eval(mid)))
+        lo, hi = (mid, hi) if sympy.sign(m.eval(mid)) == sympy.sign(m.eval(lo)) else (lo, mid)
+    return int(sympy.sign(sp.eval(lo)))
+
+
+def _gcd_degree(p: Poly, q: Poly) -> int:
+    while not q.is_zero():
+        p, q = q, p.divmod(q)[1]
+    return p.degree
 
 
 def _assert_normal(x: FieldElement, k: NumberField) -> None:
@@ -872,7 +968,7 @@ def test_field_inverse_is_the_euclidean_inverse(name, pa, pb):
         return
     want = _euclid_inverse(ra, k)
     if want is None:
-        assert ra.gcd(k.modulus).degree >= 1
+        assert _gcd_degree(ra, k.modulus) >= 1
         with pytest.raises(ZeroDivisor):
             a.inverse()
         with pytest.raises(ZeroDivisor):
@@ -891,12 +987,44 @@ def test_field_inverse_raises_zero_divisor_exactly_on_common_factors():
     k = _reference_field("gamma boundary")
     x = k.gen()
     for zd in (x * x * 2 - 1, x * x * 2 + x + 1, (x * x * 2 - 1) * (x + 3)):
-        assert zd.rep.gcd(k.modulus).degree >= 1
+        assert _gcd_degree(zd.rep, k.modulus) >= 1
         with pytest.raises(ZeroDivisor):
             zd.inverse()
     unit = x * x * 2 + x - 1  # coprime to both factors
-    assert unit.rep.gcd(k.modulus).degree == 0
+    assert _gcd_degree(unit.rep, k.modulus) == 0
     assert unit * unit.inverse() == 1
+
+
+@given(st.sampled_from(sorted(REFERENCE_MODULI)), small_fractions, st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+@settings(max_examples=50, deadline=None)
+def test_constant_elements_are_decided_as_fractions(name, r, tol):
+    """A constant element's sign and |x| <= tol read off nums[0] over den
+    > 0, with no enclosure; a negative tol fails on an exact 0 too."""
+    k = _reference_field(name)
+
+    def no_enclosure(*args):
+        raise AssertionError("a constant element must not reach the enclosure")
+
+    x = k.element([r])
+    assert len(x.nums) <= 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_horner_enclosure", no_enclosure)
+        assert x.sign() == (r > 0) - (r < 0)
+        assert scalar_abs_leq(x, tol) == (abs(r) <= tol)
+        assert scalar_abs_leq(k.zero(), tol) == (tol >= 0)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), float("-inf"), float("nan"), 10**400, F(-(10**400), 3)],
+    ids=["inf", "-inf", "nan", "1e400", "-1e400/3"],
+)
+def test_bounds_a_float_cannot_hold_are_input_errors(value):
+    with pytest.raises(InputError, match="a float can hold"):
+        as_tolerance(value)
+    with pytest.raises(InputError, match="a float can hold"):
+        isolate_positive_roots(Poly.from_ints([-2, 0, 1]), value)
+    assert as_tolerance(-0.5) == F(-1, 2) and as_tolerance(F(1, 10**400)) == F(1, 10**400)
 
 
 def test_field_rep_is_read_only():

@@ -13,6 +13,7 @@ from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.errors import GraphMismatch, NonpositiveWeight
 from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_standard_weight
+from cwkms import pathalgebra
 from cwkms.graphs import build_graph
 from cwkms.pathalgebra import (
     PathMonomial,
@@ -379,9 +380,9 @@ class TestKMSSweepSemantics:
         calls = Counter()
         evolve = psi.evolve
 
-        def counting(m, t):
+        def counting(m, t, checked=None):
             calls[id(m)] += 1
-            return evolve(m, t)
+            return evolve(m, t, checked)
 
         monkeypatch.setattr(psi, "evolve", counting)
         kms_check(psi, sample, TOL)
@@ -391,6 +392,18 @@ class TestKMSSweepSemantics:
         product = rank2_product if isinstance(sample[0][0], Rank2Monomial) else monomial_product
         needed = {id(x) for x, y in sample if product(y, x)}
         assert calls == Counter(dict.fromkeys(needed, 1))
+
+    @pytest.mark.parametrize("case", KMS_CASES)
+    def test_lambda_signs_are_decided_once_per_edge(self, kms_cases, case, monkeypatch):
+        """``evolve`` shares the sweep's checked set, so no lambda sign is
+        decided twice for one functional."""
+        psi, sample = kms_cases[case]
+        parts = [psi.skeleton, psi.boundary] if hasattr(psi, "skeleton") else [psi]
+        signs = []
+        sign = pathalgebra.scalar_sign
+        monkeypatch.setattr(pathalgebra, "scalar_sign", lambda v: signs.append(v) or sign(v))
+        kms_check(psi, sample, TOL)
+        assert 0 < len(signs) <= sum(len(part.weight.lam) for part in parts)
 
     @pytest.mark.parametrize("bad", [F(0), F(-1)])
     def test_nonpositive_lambda_raises_from_a_zero_pair(self, figb, bad):
