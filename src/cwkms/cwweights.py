@@ -29,11 +29,13 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
+    all_nonzero,
     as_tolerance,
+    is_zero,
     isolate_positive_roots,
+    residual,
     scalar_abs_leq,
     scalar_eq,
-    scalar_sign,
     scalar_to_float,
 )
 from .graphs import DirectedGraph
@@ -89,12 +91,11 @@ class Rank2Weight:
         return True
 
     def faithful_on(self, c: Oriented2Complex) -> bool:
-        sk = c.skeleton
-        vals = [self.g[v] for v in sk.vertices]
-        vals += [self.lam[e.id] for e in sk.edges]
-        vals += [self.lambda_tilde[e.id] for e in sk.edges]
-        vals += [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
-        return all(scalar_sign(x) != 0 for x in vals)
+        return all_nonzero([self.g[v] for v in c.skeleton.vertices] + self._edge_face_values(c))
+
+    def _edge_face_values(self, c: Oriented2Complex) -> list:
+        vals = [self.lam[e.id] for e in c.skeleton.edges] + [self.lambda_tilde[e.id] for e in c.skeleton.edges]
+        return vals + [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
 
     def special_on(self, c: Oriented2Complex) -> bool:
         vals = [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
@@ -107,21 +108,20 @@ def boundary_weight_residuals(c: Oriented2Complex, lam: dict, eta_of, step: int 
     the follower of e in the boundary word for ``step`` = +1 and its
     predecessor for ``step`` = -1.  ``eta_of(face id, position)`` gives the
     face coefficient of each instance."""
-    sums: dict[str, object] = {}
+    terms: dict[str, list] = {}
     for f in c.faces:
         n = len(f.boundary)
         for k in range(n):
-            e_cur = f.boundary[k]
-            term = eta_of(f.id, k) * lam[f.boundary[(k + step) % n]]
-            sums[e_cur] = term if e_cur not in sums else sums[e_cur] + term
-    return {e: lam[e] - s for e, s in sums.items()}
+            terms.setdefault(f.boundary[k], []).append((eta_of(f.id, k), lam[f.boundary[(k + step) % n]]))
+    return {e: residual(lam[e], pairs) for e, pairs in terms.items()}
 
 
 def _residual_summary(sk_report: WeightReport, residual_maps: list[dict], tol: Fraction):
-    """Pass flag, absolute float residual maps and largest residual of a
-    skeleton report together with exact residual maps."""
-    within = [scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
-    floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
+    """Pass flag, absolute float residual maps and largest residual of a skeleton
+    report and exact residual maps; a zero representation needs no enclosure."""
+    zero_ok = tol >= 0
+    within = [zero_ok if is_zero(r) else scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
+    floats = [{k: 0.0 if is_zero(r) else abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
     maxr = max([sk_report.max_residual] + [x for m in floats for x in m.values()])
     return sk_report.passed and all(within), floats, maxr
 
@@ -159,11 +159,9 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
     bres = boundary_weight_residuals(c, w.lam, w.eta_at)
     coupling: dict[str, object] = {}
     if w.mode == MODE_TIGHT:
-        for e in c.skeleton.edges:
-            coupling[e.id] = w.lam[e.id] - w.lambda_tilde[e.id]
+        coupling = {e.id: w.lam[e.id] - w.lambda_tilde[e.id] for e in c.skeleton.edges}
     elif w.mode == MODE_STANDARD:
-        for e in c.skeleton.edges:
-            coupling[e.id] = w.lam[e.id] - w.lambda_tilde[e.id] * w.g[e.dst]
+        coupling = {e.id: residual(w.lam[e.id], [(w.lambda_tilde[e.id], w.g[e.dst])]) for e in c.skeleton.edges}
     passed, (bfl, cfl), maxr = _residual_summary(sk_report, [bres, coupling], tol)
     return Rank2Report(
         passed=passed,
@@ -171,7 +169,7 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
         boundary_residuals=bfl,
         coupling_residuals=cfl,
         max_residual=maxr,
-        faithful=w.faithful_on(c),
+        faithful=sk_report.faithful and all_nonzero(w._edge_face_values(c)),  # g decided there
         special=w.special_on(c),
         mode=w.mode,
     )
@@ -494,16 +492,11 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
     res_b = boundary_weight_residuals(c, w.lam, lambda fid, k: w.eta_b[fid], -1)
     tight_res: dict[str, object] = {}
     if w.tight:
-        for e in c.skeleton.edges:
-            tight_res[f"lambda[{e.id}]"] = w.lam[e.id] - w.lambda_tilde[e.id]
-        for f in c.faces:
-            tight_res[f"eta[{f.id}]"] = w.eta_a[f.id] - w.eta_b[f.id]
+        tight_res = {f"lambda[{e.id}]": w.lam[e.id] - w.lambda_tilde[e.id] for e in c.skeleton.edges}
+        tight_res.update({f"eta[{f.id}]": w.eta_a[f.id] - w.eta_b[f.id] for f in c.faces})
     passed, (fa, fb, ft), maxr = _residual_summary(sk_report, [res_a, res_b, tight_res], tol)
-    vals = [w.g[v] for v in c.skeleton.vertices]
-    vals += [w.lam[e.id] for e in c.skeleton.edges]
-    vals += [w.eta_a[f.id] for f in c.faces] + [w.eta_b[f.id] for f in c.faces]
-    faithful = all(scalar_sign(x) != 0 for x in vals)
     etas = [w.eta_a[f.id] for f in c.faces] + [w.eta_b[f.id] for f in c.faces]
+    faithful = sk_report.faithful and all_nonzero([w.lam[e.id] for e in c.skeleton.edges] + etas)
     special = all(scalar_eq(x, etas[0]) for x in etas[1:]) if etas else True
     return TriangularReport(
         passed=passed,

@@ -38,8 +38,8 @@ from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
 # Relative width of the enclosure a decimal is read from: the 15 significant
 # digits that reports print are then off only within 1e-16 of a rounding
-# boundary.
-DECIMAL_WIDTH = 1e-16
+# boundary.  Held as the exact value of the float 1e-16.
+DECIMAL_WIDTH = Fraction(1e-16)
 
 
 def as_fraction(x) -> Fraction:
@@ -85,7 +85,7 @@ class Poly:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
         self._ints = None
@@ -159,7 +159,7 @@ class Poly:
         q = [zero] * (self.degree - d + 1)
         for k in range(len(q) - 1, -1, -1):
             top = rem[k + d]
-            if not _is_zero(top):
+            if not is_zero(top):
                 c = top / lead
                 q[k] = c
                 for i in range(d + 1):
@@ -194,7 +194,7 @@ class Poly:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if not is_zero(c):
                 terms.append(f"{c}*x^{i}" if i else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
 
@@ -222,7 +222,8 @@ def _horner_enclosure(nums, den: int, lo: Fraction, hi: Fraction) -> tuple[int, 
     return vlo, vhi, den * scale
 
 
-def _is_zero(c) -> bool:
+def is_zero(c) -> bool:
+    """Whether the representation of ``c`` is 0 (a FieldElement's value may be 0 when it is not)."""
     return c.is_zero() if isinstance(c, FieldElement) else c == 0
 
 
@@ -264,10 +265,24 @@ def _pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
     return r, s
 
 
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b modulo the prime p: Euclid on pseudo-remainders, whose scale factors are units."""
+    a, b = [v % p for v in a], [v % p for v in b]
+    while b:
+        r = [v % p for v in _pseudo_rem(a, b)[0]]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return a
+
+
 def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd, with positive leading coefficient, of nonzero integer
-    polynomials: the primitive pseudo-remainder sequence (Knuth, TAOCP 2,
-    4.6.1)."""
+    """Primitive gcd, positive leading coefficient, of nonzero integer polynomials: 1 if coprime modulo
+    p = 2**61 - 1, p dividing neither leading coefficient (a common factor's primitive multiple divides
+    both, so keeps its degree mod p), else the primitive pseudo-remainder sequence (Knuth, TAOCP 2, 4.6.1)."""
+    p = (1 << 61) - 1
+    if a[-1] % p and b[-1] % p and len(_gcd_mod(a, b, p)) == 1:
+        return [1]
     a, b = _primitive(a), _primitive(b)
     while r := _pseudo_rem(a, b)[0]:  # deg a < deg b: r = a, and they swap
         a, b = b, _primitive(r)
@@ -701,6 +716,8 @@ class FieldElement:
     def to_float(self, eps=DECIMAL_WIDTH) -> float:
         """The midpoint of an enclosure of width at most ``eps`` times
         min(1, |value|), once ``sign`` has ruled out an exact zero."""
+        if not self.nums:
+            return 0.0
         target = _positive_width(eps)
         if self.sign() == 0:
             return 0.0
@@ -735,10 +752,35 @@ def scalar_sign(x) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+def all_nonzero(values) -> bool:
+    """Whether no value is 0, deciding each distinct value once, in order."""
+    return all(scalar_sign(x) != 0 for x in dict.fromkeys(values))
+
+
 def scalar_eq(a, b) -> bool:
     if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        return scalar_sign(a - b) == 0
+        return a == b or scalar_sign(a - b) == 0
     return a == b
+
+
+def residual(x, pairs):
+    """x - sum(a * b for a, b in pairs), exactly: for x in a number field and a, b in it or rational,
+    one integer sum of unreduced products over the lcm of denominators, reduced once; else the plain expression."""
+    field = isinstance(x, FieldElement) and x.field
+    ops = field and [v if type(v) is FieldElement and v.field is field else x._coerce(v) for p in pairs for v in p]
+    if not ops or not all(ops):  # _coerce gives None for a float or another type
+        return x - sum(a * b for a, b in pairs)
+    out, den = list(x.nums), x.den
+    for a, b in zip(ops[::2], ops[1::2]):
+        d = a.den * b.den
+        if (m := d // _int_gcd(den, d)) > 1:  # den becomes lcm(den, d)
+            out, den = [v * m for v in out], den * m
+        s = den // d
+        out += [0] * (len(a.nums) + len(b.nums) - 1 - len(out))
+        for i, u in enumerate(a.nums):
+            for j, v in enumerate(b.nums, i):
+                out[j] -= s * u * v
+    return field._reduce(out, den)
 
 
 def scalar_abs_leq(x, tol: Fraction) -> bool:
@@ -938,18 +980,18 @@ def _rref_kernel(m: list[list], neg, p: int | None = None) -> list[list]:
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])), None)
+        piv = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         prow = m[r]
         inv = 1 / prow[c] if p is None else pow(prow[c], -1, p)
         # entries left of c are zero in every row from r on
-        cols = [j for j in range(c, ncols) if not _is_zero(prow[j])]
+        cols = [j for j in range(c, ncols) if not is_zero(prow[j])]
         for j in cols:
             prow[j] = prow[j] * inv if p is None else prow[j] * inv % p
         for i, row in enumerate(m):
-            if i != r and not _is_zero(row[c]):
+            if i != r and not is_zero(row[c]):
                 f = row[c]
                 if p is None:
                     for j in cols:

@@ -43,11 +43,14 @@ from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
+    all_nonzero,
     as_tolerance,
     charpoly,
     det_bareiss_poly,
+    is_zero,
     isolate_positive_roots,
     kernel_basis_exact,
+    residual,
     scalar_abs_leq,
     scalar_eq,
     scalar_sign,
@@ -78,7 +81,7 @@ class GraphWeight:
         )
 
     def faithful_on(self, graph: DirectedGraph) -> bool:
-        return all(scalar_sign(self.g[v]) != 0 for v in graph.vertices)
+        return all_nonzero(self.g[v] for v in graph.vertices)
 
     def special_on(self, graph: DirectedGraph) -> bool:
         vals = [self.lam[e.id] for e in graph.edges]
@@ -120,25 +123,17 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
         ]
         raise MissingValue(f"weight not total on graph, missing {missing}")
     tol = as_tolerance(tol)
-    residuals = {}
-    passed = True
-    exact = True
+    zero_ok = tol >= 0  # a zero representation is decided without an enclosure
+    residuals, passed, exact = {}, True, True
     for v in graph.non_sinks():
-        acc = None
-        for eid in graph.out_edges(v):
-            term = w.lam[eid] * w.g[graph.dst(eid)]
-            acc = term if acc is None else acc + term
-        r = w.g[v] - acc
-        if isinstance(r, float):
-            exact = False
-        if not scalar_abs_leq(r, tol):
-            passed = False
-        residuals[v] = abs(scalar_to_float(r))
-    maxr = max(residuals.values(), default=0.0)
+        r = residual(w.g[v], [(w.lam[eid], w.g[graph.dst(eid)]) for eid in graph.out_edges(v)])
+        exact = exact and not isinstance(r, float)
+        within, residuals[v] = (zero_ok, 0.0) if is_zero(r) else (scalar_abs_leq(r, tol), abs(scalar_to_float(r)))
+        passed = passed and within
     return WeightReport(
         passed=passed,
         residuals=residuals,
-        max_residual=maxr,
+        max_residual=max(residuals.values(), default=0.0),
         faithful=w.faithful_on(graph),
         special=w.special_on(graph),
         exact=exact,

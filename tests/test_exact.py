@@ -21,7 +21,9 @@ from cwkms.exact import (
     det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
+    residual,
     scalar_abs_leq,
+    scalar_sign,
     scalar_to_float,
 )
 
@@ -127,6 +129,36 @@ def test_descartes_counts_quadratic():
     assert _descartes_count(p, 0, 2) == 1
     assert _descartes_count(p, -2, 2) == 2
     assert _descartes_count(p, 2, 3) == 0
+
+
+int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda f: f[-1])
+
+
+@given(int_polys, int_polys, int_polys)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_is_the_rational_gcd(common, a, b):
+    """With or without a common factor: the primitive gcd divides both and
+    has the degree of Euclid's gcd over Q."""
+    fa, fb = (Poly.from_ints(common) * Poly.from_ints(f) for f in (a, b))
+    g = exact._poly_gcd(fa.ints[0], fb.ints[0])
+    assert g[-1] > 0 and gcd(*g) == 1
+    assert len(g) - 1 == _gcd_degree(fa, fb)
+    for f in (fa, fb):
+        exact._exact_quo(f.ints[0], g)  # raises unless g divides f
+
+
+def test_coprimality_modulo_p61_skips_the_remainder_sequence(monkeypatch):
+    prs_steps = []  # the sequence makes each remainder primitive
+    primitive = exact._primitive
+    monkeypatch.setattr(exact, "_primitive", lambda f: prs_steps.append(1) or primitive(f))
+    f = [-1, 0, 0, 1, 1]  # x^4 + x^3 - 1 and its derivative
+    assert exact._poly_gcd(f, [0, 0, 3, 4]) == [1]
+    assert not prs_steps
+    # p divides a leading coefficient: (p x + 1)(x + 1) and (p x + 1)(x - 1)
+    # are x + 1 and x - 1 modulo p, coprime there but not over Q
+    p = (1 << 61) - 1
+    assert exact._poly_gcd([1, p + 1, p], [-1, 1 - p, p]) == [1, p]
+    assert prs_steps
 
 
 class TestIsolation:
@@ -954,6 +986,52 @@ def test_field_arithmetic_is_the_rational_arithmetic_mod_m(name, pa, pb, r, n):
     assert a == again and hash(a) == hash(again)
     assert (a == r) == (ra == Poly([r]))
     assert a.sign() == _reference_sign(ra, k)
+
+
+operand_specs = st.one_of(
+    st.tuples(st.just("element"), element_polys),
+    st.tuples(st.just("int"), st.integers(-9, 9)),
+    st.tuples(st.just("fraction"), small_fractions),
+)
+
+
+def _operand(k: NumberField, spec):
+    kind, value = spec
+    return k.element(value) if kind == "element" else value
+
+
+@given(
+    st.sampled_from(sorted(REFERENCE_MODULI)),
+    st.one_of(st.tuples(st.just("element"), element_polys), operand_specs),
+    st.lists(st.tuples(operand_specs, operand_specs), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_fused_residual_is_the_naive_residual(name, x_spec, pair_specs):
+    """Elements with different denominators, ints and Fractions, over an
+    irreducible and a reducible modulus whose factors appear in the
+    elements, so some residuals are non-zero representations of 0."""
+    k = _reference_field(name)
+    x = _operand(k, x_spec)
+    pairs = [(_operand(k, a), _operand(k, b)) for a, b in pair_specs]
+    got, want = residual(x, pairs), x - sum(a * b for a, b in pairs)
+    assert type(got) is type(want) and got == want
+    if isinstance(got, FieldElement):
+        _assert_normal(got, k)
+        assert got.nums == want.nums and got.den == want.den
+    assert scalar_sign(got) == scalar_sign(want)
+
+
+def test_residual_of_other_operands_is_the_plain_expression():
+    assert residual(1.5, [(0.5, 3.0), (F(1, 4), 1)]) == 1.5 - (0.5 * 3.0 + 0.25)
+    assert residual(F(1, 2), [(F(1, 3), 3)]) == F(-1, 2)
+    x = _reference_field("Q(eta)").gen()
+    with pytest.raises(ValueError, match="different number fields"):
+        residual(x, [(_reference_field("gamma boundary").gen(), 1)])
+    with pytest.raises(TypeError):
+        residual(x, [(x, 0.5)])
+    k = _reference_field("gamma boundary")
+    vanishing = residual(k.gen() * k.gen() * 2, [(k.one(), 1)])  # 2x^2 - 1 at 1/sqrt(2)
+    assert vanishing.nums and vanishing.sign() == 0 and vanishing.to_float() == 0.0
 
 
 @given(st.sampled_from(sorted(REFERENCE_MODULI)), element_polys, element_polys)
