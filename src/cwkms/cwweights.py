@@ -31,7 +31,6 @@ from .exact import (
     Poly,
     all_nonzero,
     as_tolerance,
-    is_zero,
     isolate_positive_roots,
     residual,
     scalar_abs_leq,
@@ -90,13 +89,6 @@ class Rank2Weight:
                     return False
         return True
 
-    def faithful_on(self, c: Oriented2Complex) -> bool:
-        return all_nonzero([self.g[v] for v in c.skeleton.vertices] + self._edge_face_values(c))
-
-    def _edge_face_values(self, c: Oriented2Complex) -> list:
-        vals = [self.lam[e.id] for e in c.skeleton.edges] + [self.lambda_tilde[e.id] for e in c.skeleton.edges]
-        return vals + [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
-
     def special_on(self, c: Oriented2Complex) -> bool:
         vals = [self.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
         return all(scalar_eq(x, vals[0]) for x in vals[1:]) if vals else True
@@ -117,11 +109,10 @@ def boundary_weight_residuals(c: Oriented2Complex, lam: dict, eta_of, step: int 
 
 
 def _residual_summary(sk_report: WeightReport, residual_maps: list[dict], tol: Fraction):
-    """Pass flag, absolute float residual maps and largest residual of a skeleton
-    report and exact residual maps; a zero representation needs no enclosure."""
-    zero_ok = tol >= 0
-    within = [zero_ok if is_zero(r) else scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
-    floats = [{k: 0.0 if is_zero(r) else abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
+    """Pass flag, absolute float residual maps and largest residual of a
+    skeleton report together with exact residual maps."""
+    within = [scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
+    floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
     maxr = max([sk_report.max_residual] + [x for m in floats for x in m.values()])
     return sk_report.passed and all(within), floats, maxr
 
@@ -163,13 +154,15 @@ def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2R
     elif w.mode == MODE_STANDARD:
         coupling = {e.id: residual(w.lam[e.id], [(w.lambda_tilde[e.id], w.g[e.dst])]) for e in c.skeleton.edges}
     passed, (bfl, cfl), maxr = _residual_summary(sk_report, [bres, coupling], tol)
+    edge_face_values = [w.lam[e.id] for e in c.skeleton.edges] + [w.lambda_tilde[e.id] for e in c.skeleton.edges]
+    edge_face_values += [w.eta_at(f.id, k) for f in c.faces for k in range(len(f.boundary))]
     return Rank2Report(
         passed=passed,
         skeleton=sk_report,
         boundary_residuals=bfl,
         coupling_residuals=cfl,
         max_residual=maxr,
-        faithful=sk_report.faithful and all_nonzero(w._edge_face_values(c)),  # g decided there
+        faithful=sk_report.faithful and all_nonzero(edge_face_values),  # g decided there
         special=w.special_on(c),
         mode=w.mode,
     )

@@ -36,11 +36,6 @@ from math import isqrt, lcm
 
 from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
-# Relative width of the enclosure a decimal is read from: the 15 significant
-# digits that reports print are then off only within 1e-16 of a rounding
-# boundary.  Held as the exact value of the float 1e-16.
-DECIMAL_WIDTH = Fraction(1e-16)
-
 
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -72,6 +67,12 @@ def _positive_width(eps) -> Fraction:
     return eps
 
 
+# Relative width of the enclosure a decimal is read from: the 15 significant
+# digits that reports print are then off only within 1e-16 of a rounding
+# boundary.  Read once, here.
+DECIMAL_WIDTH = _positive_width(1e-16)
+
+
 class Poly:
     """Dense univariate polynomial, coefficients in ascending degree order.
 
@@ -85,7 +86,7 @@ class Poly:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while cs and is_zero(cs[-1]):
+        while cs and _is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
         self._ints = None
@@ -159,7 +160,7 @@ class Poly:
         q = [zero] * (self.degree - d + 1)
         for k in range(len(q) - 1, -1, -1):
             top = rem[k + d]
-            if not is_zero(top):
+            if not _is_zero(top):
                 c = top / lead
                 q[k] = c
                 for i in range(d + 1):
@@ -194,7 +195,7 @@ class Poly:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
-            if not is_zero(c):
+            if not _is_zero(c):
                 terms.append(f"{c}*x^{i}" if i else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
 
@@ -222,8 +223,7 @@ def _horner_enclosure(nums, den: int, lo: Fraction, hi: Fraction) -> tuple[int, 
     return vlo, vhi, den * scale
 
 
-def is_zero(c) -> bool:
-    """Whether the representation of ``c`` is 0 (a FieldElement's value may be 0 when it is not)."""
+def _is_zero(c) -> bool:
     return c.is_zero() if isinstance(c, FieldElement) else c == 0
 
 
@@ -265,24 +265,10 @@ def _pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
     return r, s
 
 
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """A gcd of a and b modulo the prime p: Euclid on pseudo-remainders, whose scale factors are units."""
-    a, b = [v % p for v in a], [v % p for v in b]
-    while b:
-        r = [v % p for v in _pseudo_rem(a, b)[0]]
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    return a
-
-
 def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd, positive leading coefficient, of nonzero integer polynomials: 1 if coprime modulo
-    p = 2**61 - 1, p dividing neither leading coefficient (a common factor's primitive multiple divides
-    both, so keeps its degree mod p), else the primitive pseudo-remainder sequence (Knuth, TAOCP 2, 4.6.1)."""
-    p = (1 << 61) - 1
-    if a[-1] % p and b[-1] % p and len(_gcd_mod(a, b, p)) == 1:
-        return [1]
+    """Primitive gcd, with positive leading coefficient, of nonzero integer
+    polynomials: the primitive pseudo-remainder sequence (Knuth, TAOCP 2,
+    4.6.1)."""
     a, b = _primitive(a), _primitive(b)
     while r := _pseudo_rem(a, b)[0]:  # deg a < deg b: r = a, and they swap
         a, b = b, _primitive(r)
@@ -716,9 +702,7 @@ class FieldElement:
     def to_float(self, eps=DECIMAL_WIDTH) -> float:
         """The midpoint of an enclosure of width at most ``eps`` times
         min(1, |value|), once ``sign`` has ruled out an exact zero."""
-        if not self.nums:
-            return 0.0
-        target = _positive_width(eps)
+        target = eps if eps is DECIMAL_WIDTH else _positive_width(eps)
         if self.sign() == 0:
             return 0.0
         root = self.field.root
@@ -787,7 +771,7 @@ def scalar_abs_leq(x, tol: Fraction) -> bool:
     if isinstance(x, float):
         return abs(x) <= float(tol)
     if isinstance(x, FieldElement) and len(x.nums) <= 1:
-        x = Fraction(x.nums[0], x.den) if x.nums else Fraction(0)
+        x = Fraction(x.nums[0], x.den) if x.nums else 0
     return not abs(x) > tol
 
 
@@ -980,18 +964,18 @@ def _rref_kernel(m: list[list], neg, p: int | None = None) -> list[list]:
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
+        piv = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         prow = m[r]
         inv = 1 / prow[c] if p is None else pow(prow[c], -1, p)
         # entries left of c are zero in every row from r on
-        cols = [j for j in range(c, ncols) if not is_zero(prow[j])]
+        cols = [j for j in range(c, ncols) if not _is_zero(prow[j])]
         for j in cols:
             prow[j] = prow[j] * inv if p is None else prow[j] * inv % p
         for i, row in enumerate(m):
-            if i != r and not is_zero(row[c]):
+            if i != r and not _is_zero(row[c]):
                 f = row[c]
                 if p is None:
                     for j in cols:

@@ -47,7 +47,6 @@ from .exact import (
     as_tolerance,
     charpoly,
     det_bareiss_poly,
-    is_zero,
     isolate_positive_roots,
     kernel_basis_exact,
     residual,
@@ -123,13 +122,12 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
         ]
         raise MissingValue(f"weight not total on graph, missing {missing}")
     tol = as_tolerance(tol)
-    zero_ok = tol >= 0  # a zero representation is decided without an enclosure
     residuals, passed, exact = {}, True, True
     for v in graph.non_sinks():
         r = residual(w.g[v], [(w.lam[eid], w.g[graph.dst(eid)]) for eid in graph.out_edges(v)])
         exact = exact and not isinstance(r, float)
-        within, residuals[v] = (zero_ok, 0.0) if is_zero(r) else (scalar_abs_leq(r, tol), abs(scalar_to_float(r)))
-        passed = passed and within
+        passed = passed and scalar_abs_leq(r, tol)
+        residuals[v] = abs(scalar_to_float(r))
     return WeightReport(
         passed=passed,
         residuals=residuals,

@@ -147,20 +147,6 @@ def test_poly_gcd_is_the_rational_gcd(common, a, b):
         exact._exact_quo(f.ints[0], g)  # raises unless g divides f
 
 
-def test_coprimality_modulo_p61_skips_the_remainder_sequence(monkeypatch):
-    prs_steps = []  # the sequence makes each remainder primitive
-    primitive = exact._primitive
-    monkeypatch.setattr(exact, "_primitive", lambda f: prs_steps.append(1) or primitive(f))
-    f = [-1, 0, 0, 1, 1]  # x^4 + x^3 - 1 and its derivative
-    assert exact._poly_gcd(f, [0, 0, 3, 4]) == [1]
-    assert not prs_steps
-    # p divides a leading coefficient: (p x + 1)(x + 1) and (p x + 1)(x - 1)
-    # are x + 1 and x - 1 modulo p, coprime there but not over Q
-    p = (1 << 61) - 1
-    assert exact._poly_gcd([1, p + 1, p], [-1, 1 - p, p]) == [1, p]
-    assert prs_steps
-
-
 class TestIsolation:
     def test_single_positive_root_of_quartic(self):
         # independent bisection oracle computed the value 0.81917251339616...
@@ -1102,6 +1088,8 @@ def test_bounds_a_float_cannot_hold_are_input_errors(value):
         as_tolerance(value)
     with pytest.raises(InputError, match="a float can hold"):
         isolate_positive_roots(Poly.from_ints([-2, 0, 1]), value)
+    with pytest.raises(InputError, match="a float can hold"):
+        _reference_field("Q(eta)").zero().to_float(value)  # read before the zero is seen
     assert as_tolerance(-0.5) == F(-1, 2) and as_tolerance(F(1, 10**400)) == F(1, 10**400)
 
 
