@@ -56,7 +56,6 @@ from .solver import (
     boundary_matrix,
     det_polynomial,
     positive_kernel,
-    positive_roots,
     solve_special_weights,
     verify_graph_weight,
 )

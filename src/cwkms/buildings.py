@@ -22,7 +22,7 @@ from .complexes import Oriented2Complex, build_complex
 from .errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
 from .exact import scalar_sign, scalar_to_float
 from .graphs import DirectedGraph, build_graph, spec_ids, spec_int, spec_list, spec_object
-from .solver import DEFAULT_EPS, SpecialWeightFamily, solve_special_weights
+from .solver import SpecialWeightFamily, solve_special_weights
 
 
 @dataclass(frozen=True)
@@ -287,14 +287,14 @@ class MatchedPair:
     psi_values: dict[str, float]
 
 
-def matched_weight_search(gplus: DirectedGraph, gminus: DirectedGraph, eps=DEFAULT_EPS) -> list[MatchedPair]:
+def matched_weight_search(gplus: DirectedGraph, gminus: DirectedGraph) -> list[MatchedPair]:
     """Search constant-edge-weight faithful weights on both sector graphs and
     keep the pairs whose vertexwise products lam*g agree up to one global
     rescaling of g- (weights are only defined up to scale)."""
     if set(gplus.vertices) != set(gminus.vertices):
         raise InputError("sector graphs must share their vertex set")
-    rp = solve_special_weights(gplus, eps)
-    rm = solve_special_weights(gminus, eps)
+    rp = solve_special_weights(gplus)
+    rm = solve_special_weights(gminus)
     out = []
     for fp in rp.faithful_families():
         vp = dict(zip(gplus.vertices, fp.kernel.positive_floats()))

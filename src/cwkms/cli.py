@@ -40,7 +40,6 @@ from .pathalgebra import (
     kms_check,
 )
 from .solver import (
-    DEFAULT_EPS,
     DEFAULT_TOL,
     format_scalar,
     parse_scalar,
@@ -69,28 +68,14 @@ def _load_json(path: str) -> tuple[dict, str]:
     return data, hashlib.sha256(text.encode()).hexdigest()
 
 
-def rational(text: str) -> Fraction:
-    """An exact rational option value; argparse reports a zero denominator
-    like any other invalid value."""
+def tolerance(text: str) -> Fraction:
+    """Type of the ``--tol`` options: an exact rational bound on residuals,
+    at least 0, that the reports print as a float; argparse reports a zero
+    denominator like any other invalid value."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
-
-
-def positive_rational(text: str) -> Fraction:
-    """Type of the ``--eps`` options: a root isolation width of 0 or less
-    would bisect forever."""
-    value = rational(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def tolerance(text: str) -> Fraction:
-    """Type of the ``--tol`` options: a bound on residuals is at least 0,
-    and the reports print it as a float."""
-    value = rational(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     if value > sys.float_info.max:
@@ -177,7 +162,7 @@ def cmd_solve_graph(args) -> int:
         graph = boundary_graph(build_complex(data)).graph
     else:
         graph = build_graph(data)
-    rep = solve_special_weights(graph, args.eps)
+    rep = solve_special_weights(graph)
     out = {
         "command": "solve-graph",
         "input_sha256": digest,
@@ -195,7 +180,7 @@ def cmd_solve_graph(args) -> int:
 def cmd_solve_cw(args) -> int:
     data, digest = _load_json(args.input)
     c = build_complex(data)
-    fams = solve_2dcw(c, args.mode, eps=args.eps)
+    fams = solve_2dcw(c, args.mode)
     out = {
         "command": "solve-cw",
         "input_sha256": digest,
@@ -218,7 +203,7 @@ def cmd_solve_cw(args) -> int:
 def cmd_solve_triangular(args) -> int:
     data, digest = _load_json(args.input)
     c = build_complex(data)
-    fams = solve_triangular_special(c, args.eps)
+    fams = solve_triangular_special(c)
     out = {
         "command": "solve-triangular",
         "input_sha256": digest,
@@ -421,18 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-graph", help="classify constant-edge-weight solutions")
     p.add_argument("input")
     p.add_argument("--boundary", action="store_true", help="input is a complex; solve on its boundary graph")
-    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS, help="root isolation width (default 1e-14)")
     p.set_defaults(func=cmd_solve_graph)
 
     p = sub.add_parser("solve-cw", help="solve 2D CW weights on a complex")
     p.add_argument("input")
     p.add_argument("--mode", choices=[MODE_STANDARD, MODE_TIGHT], default=MODE_STANDARD)
-    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_cw)
 
     p = sub.add_parser("solve-triangular", help="solve tight triangular weights")
     p.add_argument("input")
-    p.add_argument("--eps", type=positive_rational, default=DEFAULT_EPS)
     p.set_defaults(func=cmd_solve_triangular)
 
     p = sub.add_parser("verify", help="verify a weight file against an object")

@@ -39,7 +39,6 @@ from .exact import (
 )
 from .graphs import DirectedGraph
 from .solver import (
-    DEFAULT_EPS,
     DEFAULT_TOL,
     GraphWeight,
     WeightReport,
@@ -185,18 +184,13 @@ class Rank2Family:
     free_parameters: list[str]
     scale_det: Poly | None = None
     scale_root: object | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _vector_as_map(vertices, vec) -> dict:
     return dict(zip(vertices, vec))
 
 
-def solve_2dcw(
-    c: Oriented2Complex,
-    mode: str = MODE_STANDARD,
-    eps=DEFAULT_EPS,
-) -> list[Rank2Family]:
+def solve_2dcw(c: Oriented2Complex, mode: str = MODE_STANDARD) -> list[Rank2Family]:
     """Enumerate special (constant eta) 2D CW weight families on ``c``.
 
     Only constant-eta families are enumerated: non-special families form
@@ -211,14 +205,14 @@ def solve_2dcw(
     if not bg.graph.edges:
         # no faces: the boundary equation is vacuous, only the skeleton
         # equation constrains anything, so there is no eta classification
-        families = _solve_no_faces(c, mode, eps)
+        families = _solve_no_faces(c, mode)
     else:
-        for fam in solve_special_weights(bg.graph, eps).faithful_families():
+        for fam in solve_special_weights(bg.graph).faithful_families():
             lam0 = _vector_as_map(bg.graph.vertices, fam.kernel.positive)
             if mode == MODE_STANDARD:
                 families.append(_lift_standard(c, fam.eta, lam0))
             else:
-                families.extend(_lift_tight(c, fam.eta, lam0, eps))
+                families.extend(_lift_tight(c, fam.eta, lam0))
     return families
 
 
@@ -338,7 +332,7 @@ def _polish_root(coeffs: list[float], x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]:
+def _solve_scale(sk: DirectedGraph, lam0: dict) -> tuple[Poly, list[tuple]]:
     """Scale the boundary solution lam0 onto the skeleton: C*lam0 satisfies
     the skeleton weight equation for a positive g exactly at the positive
     roots C of the scale determinant with a positive kernel there.  Returns
@@ -352,7 +346,7 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     if det.is_zero():
         scale_roots: list = []
     elif all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
-        scale_roots = isolate_positive_roots(det, eps)
+        scale_roots = isolate_positive_roots(det)
     else:
         scale_roots = _poly_positive_roots_numeric(det)
     solutions = []
@@ -365,11 +359,11 @@ def _solve_scale(sk: DirectedGraph, lam0: dict, eps) -> tuple[Poly, list[tuple]]
     return det, solutions
 
 
-def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict, eps) -> list[Rank2Family]:
+def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> list[Rank2Family]:
     """Tight-mode lift: lam = C*lam0 must itself satisfy the skeleton weight
     equation for some g, which happens exactly at positive roots C of the
     scale determinant."""
-    det, solutions = _solve_scale(c.skeleton, lam0, eps)
+    det, solutions = _solve_scale(c.skeleton, lam0)
     out: list[Rank2Family] = []
     for root, lam_scaled, g in solutions:
         etaval = _eta_scalar(eta, lam_scaled.values())
@@ -401,11 +395,11 @@ def _mixed_mul(cval, lam_val):
     return cval * lam_val
 
 
-def _solve_no_faces(c: Oriented2Complex, mode: str, eps) -> list[Rank2Family]:
+def _solve_no_faces(c: Oriented2Complex, mode: str) -> list[Rank2Family]:
     """Complexes without faces: eta and lam are unconstrained by the boundary
     equation; report the skeleton classification only."""
     sk = c.skeleton
-    report = solve_special_weights(sk, eps)
+    report = solve_special_weights(sk)
     fams = []
     for fam in report.faithful_families():
         gmap = _vector_as_map(sk.vertices, fam.kernel.positive)
@@ -421,7 +415,6 @@ def _solve_no_faces(c: Oriented2Complex, mode: str, eps) -> list[Rank2Family]:
                 eta=fam.eta,
                 weight=w,
                 free_parameters=["C"],
-                diagnostics={"note": "no faces; boundary equation vacuous"},
             )
         )
     return fams
@@ -514,7 +507,7 @@ class TriangularFamily:
     scale_det: Poly
 
 
-def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[TriangularFamily]:
+def solve_triangular_special(c: Oriented2Complex) -> list[TriangularFamily]:
     """Classify special faithful tight triangular weights.
 
     The follower system determinant (a polynomial in eta) picks the candidate
@@ -527,7 +520,7 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
     _require_triangular(c)
     bg = boundary_graph(c)
     pg = predecessor_graph(c)
-    report = solve_special_weights(bg.graph, eps)
+    report = solve_special_weights(bg.graph)
     families: list[TriangularFamily] = []
     for fam in report.faithful_families():
         eta = fam.eta
@@ -536,7 +529,7 @@ def solve_triangular_special(c: Oriented2Complex, eps=DEFAULT_EPS) -> list[Trian
         if kr.status != "positive":
             continue
         lam0 = _vector_as_map(bg.graph.vertices, kr.positive)
-        det2, solutions = _solve_scale(c.skeleton, lam0, eps)
+        det2, solutions = _solve_scale(c.skeleton, lam0)
         for root, lam_scaled, gmap in solutions:
             etaval = _eta_scalar(eta, lam_scaled.values())
             w = TriangularWeight(

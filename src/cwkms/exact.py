@@ -59,18 +59,14 @@ def as_tolerance(value) -> Fraction:
     return tol
 
 
-def _positive_width(eps) -> Fraction:
-    # no interval around an irrational root ever reaches width 0
-    eps = as_tolerance(eps)
-    if eps <= 0:
-        raise InputError(f"root isolation width must be positive, got {eps}")
-    return eps
-
+# Width of every isolating interval a root is reported with.  A Descartes
+# count of 1 certifies the interval at any width, so no answer depends on it.
+ROOT_WIDTH = Fraction(1, 10**14)
 
 # Relative width of the enclosure a decimal is read from: the 15 significant
 # digits that reports print are then off only within 1e-16 of a rounding
-# boundary.  Read once, here.
-DECIMAL_WIDTH = _positive_width(1e-16)
+# boundary.
+DECIMAL_WIDTH = Fraction(1e-16)
 
 
 class Poly:
@@ -385,26 +381,28 @@ class AlgebraicScalar:
     def bounds(self) -> tuple[Fraction, Fraction]:
         return (self.rational, self.rational) if self.is_rational else (self.lo, self.hi)
 
-    def refine(self, eps) -> "AlgebraicScalar":
-        """Narrow the isolating interval below ``eps`` > 0 (no-op for
+    def refine(self, width) -> "AlgebraicScalar":
+        """Narrow the isolating interval below ``width`` > 0 (no-op for
         rationals); a midpoint that hits the root makes it rational."""
-        eps = _positive_width(eps)
+        width = as_tolerance(width)
+        if width <= 0:  # no interval around an irrational root reaches width 0
+            raise InputError(f"root isolation width must be positive, got {width}")
         if not self.is_rational:
-            x = _bisect(self.poly.ints[0], self.lo, self.hi, eps)
+            x = _bisect(self.poly.ints[0], self.lo, self.hi, width)
             if isinstance(x, Fraction):
                 self.rational, self.poly, self.lo, self.hi = x, None, None, None
             else:
                 self.lo, self.hi = x
         return self
 
-    def to_float(self, eps=DECIMAL_WIDTH) -> float:
-        """The midpoint of an isolating interval of width at most ``eps``
-        times min(1, |root|), so small roots keep their significant digits."""
-        eps = _positive_width(eps)
+    def to_float(self) -> float:
+        """The midpoint of an isolating interval of width at most
+        ``DECIMAL_WIDTH`` times min(1, |root|), so small roots keep their
+        significant digits."""
         while not self.is_rational:
             if self.lo < 0 < self.hi and self.poly.sign_at(Fraction(0)) == 0:
                 return 0.0  # the only root in the interval
-            target = eps * min(abs(self.lo), abs(self.hi), 1)
+            target = DECIMAL_WIDTH * min(abs(self.lo), abs(self.hi), 1)
             if self.hi - self.lo <= target:
                 return float((self.lo + self.hi) / 2)
             self.refine(target or self.width() / 2)
@@ -439,10 +437,11 @@ class AlgebraicScalar:
         return f"AlgebraicScalar(root of {self.poly} in ({self.lo}, {self.hi}))"
 
 
-def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
+def isolate_positive_roots(p: Poly) -> list[AlgebraicScalar]:
     """All real roots > 0 of ``p`` in increasing order, each isolated to
-    interval width <= eps > 0.  The irrational roots share one ``poly``: the
-    primitive square-free part of p with its rational roots divided out.
+    interval width <= ``ROOT_WIDTH``.  The irrational roots share one
+    ``poly``: the primitive square-free part of p with its rational roots
+    divided out.
 
     All in integers (Collins and Akritas, SYMSAC 1976; Rouillier and
     Zimmermann, J. Comput. Appl. Math. 162, 2004).  The square-free part is
@@ -457,9 +456,8 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
     dividing the leading coefficient a_n of q; such fractions lie at least
     1/a_n**2 apart, so it is the closest fraction with denominator <= a_n to
     the midpoint of its interval refined below width 1/(2 a_n**2).  The
-    irrational roots are refined to ``eps`` last.
+    irrational roots are refined to ``ROOT_WIDTH`` last.
     """
-    eps = _positive_width(eps)
     if p.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     f = p.ints[0]
@@ -483,7 +481,7 @@ def isolate_positive_roots(p: Poly, eps) -> list[AlgebraicScalar]:
                 rest = _exact_quo(rest, [-x.numerator, x.denominator])
             roots[i] = x
     poly = Poly.from_ints(rest)
-    return [AlgebraicScalar(x) if isinstance(x, Fraction) else AlgebraicScalar(None, poly, *x).refine(eps)
+    return [AlgebraicScalar(x) if isinstance(x, Fraction) else AlgebraicScalar(None, poly, *x).refine(ROOT_WIDTH)
             for x in roots]
 
 
@@ -699,16 +697,15 @@ class FieldElement:
                 gcd_checked = ends > 0
             root.refine(root.width() / 4)
 
-    def to_float(self, eps=DECIMAL_WIDTH) -> float:
-        """The midpoint of an enclosure of width at most ``eps`` times
-        min(1, |value|), once ``sign`` has ruled out an exact zero."""
-        target = eps if eps is DECIMAL_WIDTH else _positive_width(eps)
+    def to_float(self) -> float:
+        """The midpoint of an enclosure of width at most ``DECIMAL_WIDTH``
+        times min(1, |value|), once ``sign`` has ruled out an exact zero."""
         if self.sign() == 0:
             return 0.0
         root = self.field.root
         while True:
             vlo, vhi, s = _horner_enclosure(self.nums, self.den, *root.bounds())
-            if (vhi - vlo) * target.denominator <= target.numerator * min(abs(vlo), abs(vhi), s):
+            if (vhi - vlo) * DECIMAL_WIDTH.denominator <= DECIMAL_WIDTH.numerator * min(abs(vlo), abs(vhi), s):
                 return (vlo + vhi) / (2 * s)
             root.refine(root.width() / 16)
 
@@ -719,9 +716,9 @@ class FieldElement:
         return f"FieldElement({self.rep})"
 
 
-def scalar_to_float(x, eps=DECIMAL_WIDTH) -> float:
+def scalar_to_float(x) -> float:
     if isinstance(x, (FieldElement, AlgebraicScalar)):
-        return x.to_float(eps)
+        return x.to_float()
     return float(x)
 
 

@@ -33,7 +33,7 @@ from .cwweights import Rank2Weight
 from .errors import GraphMismatch, InputError, MissingValue, NonpositiveWeight
 from .exact import as_tolerance, scalar_abs_leq, scalar_sign, scalar_to_float
 from .graphs import DirectedGraph
-from .solver import GraphWeight
+from .solver import DEFAULT_TOL, GraphWeight
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,7 +359,7 @@ def _meets(a, b) -> bool:
     return _meet(a.nu, b.mu) != 0
 
 
-def kms_check(psi, sample, tol=Fraction(1, 10**10)) -> KMSReport:
+def kms_check(psi, sample, tol=DEFAULT_TOL) -> KMSReport:
     """Check psi(x y) = psi(y sigma_(i beta_sign)(x)) over monomial pairs,
     exactly: at t = +-i the flow scales by an integer power of a lambda
     ratio, so for exact weights each d = lhs - rhs is exact, and the sweep

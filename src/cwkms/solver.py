@@ -58,7 +58,6 @@ from .exact import (
 from .graphs import DirectedGraph
 
 DEFAULT_TOL = Fraction(1, 10**10)
-DEFAULT_EPS = Fraction(1, 10**14)
 POSITIVITY_THRESHOLD = 1e-8
 
 
@@ -208,10 +207,6 @@ def det_polynomial(graph: DirectedGraph) -> Poly:
     return pencil_determinant(graph, Fraction(1))
 
 
-def positive_roots(p: Poly, eps=DEFAULT_EPS) -> list[AlgebraicScalar]:
-    return isolate_positive_roots(p, eps)
-
-
 # ---------------------------------------------------------------------------
 # Kernel extraction
 # ---------------------------------------------------------------------------
@@ -284,7 +279,7 @@ def positive_kernel(rows) -> KernelResult:
     exact decisions: a one-dimensional kernel by the signs of its basis
     vector, a larger one by an exact simplex (``_positive_in_span``).  A
     numeric basis (float input, or a zero divisor met in exact elimination)
-    keeps the sign test beyond ``POSITIVITY_THRESHOLD`` in dimension 1 and
+    retains the sign test beyond ``POSITIVITY_THRESHOLD`` in dimension 1 and
     is "undetermined" in higher dimension, the only source of that status.
     """
     kernel = KernelResult("none", None, rows)
@@ -414,7 +409,7 @@ class SpecialWeightReport:
         return [f for f in self.families if f.faithful]
 
 
-def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeightReport:
+def solve_special_weights(graph: DirectedGraph) -> SpecialWeightReport:
     """Classify constant-edge-weight solutions of the weight equation.
 
     Pipeline: exact determinant, positive roots, positive kernel at the
@@ -430,7 +425,7 @@ def solve_special_weights(graph: DirectedGraph, eps=DEFAULT_EPS) -> SpecialWeigh
     if det.is_zero():
         return SpecialWeightReport("degenerate", graph.vertices, det, [])
     families = []
-    for k, root in enumerate(positive_roots(det, eps)):
+    for k, root in enumerate(isolate_positive_roots(det)):
         rows = boundary_matrix(graph, root.exact_value())
         kr = positive_kernel(rows) if k == 0 else KernelResult("none", None, rows)
         families.append(SpecialWeightFamily(eta=root, kernel=kr, faithful=kr.status == "positive"))

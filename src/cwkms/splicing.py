@@ -74,29 +74,23 @@ def glue_graphs(emb1: GraphEmbedding, emb2: GraphEmbedding) -> SplicedGraph:
     emb1.validate()
     emb2.validate()
     gamma = emb1.source
+    vertices, edges = list(gamma.vertices), list(gamma.edges)
     vmaps: list[dict] = []
     emaps: list[dict] = []
     for idx, emb in ((1, emb1), (2, emb2)):
-        inv_v = {tv: sv for sv, tv in emb.vertex_map.items()}
-        inv_e = {te: se for se, te in emb.edge_map.items()}
-        vmaps.append({
-            v: inv_v[v] if v in inv_v else f"{idx}:{v}" for v in emb.target.vertices
-        })
-        emaps.append({
-            e: inv_e[e] if e in inv_e else f"{idx}:{e}" for e in emb.target.edge_ids()
-        })
-    vertices = list(gamma.vertices)
-    for idx, emb in ((0, emb1), (1, emb2)):
+        # the image keeps the source ids; every other element is the piece's own
+        vmap = {tv: sv for sv, tv in emb.vertex_map.items()}
         for v in emb.target.vertices:
-            name = vmaps[idx][v]
-            if name.startswith(f"{idx + 1}:"):
-                vertices.append(name)
-    edges: list[Edge] = [Edge(e.id, e.src, e.dst) for e in gamma.edges]
-    for idx, emb in ((0, emb1), (1, emb2)):
+            if v not in vmap:
+                vmap[v] = f"{idx}:{v}"
+                vertices.append(vmap[v])
+        emap = {te: se for se, te in emb.edge_map.items()}
         for e in emb.target.edges:
-            name = emaps[idx][e.id]
-            if name.startswith(f"{idx + 1}:"):
-                edges.append(Edge(name, vmaps[idx][e.src], vmaps[idx][e.dst]))
+            if e.id not in emap:
+                emap[e.id] = f"{idx}:{e.id}"
+                edges.append(Edge(emap[e.id], vmap[e.src], vmap[e.dst]))
+        vmaps.append(vmap)
+        emaps.append(emap)
     if len(set(vertices)) != len(vertices) or len({e.id for e in edges}) != len(edges):
         raise BadEmbedding("id collision while gluing; avoid raw ids of the form '1:...'")
     graph = DirectedGraph(tuple(vertices), tuple(edges))
@@ -142,42 +136,20 @@ def splice_graph_weights(
                 f"shared vertex {v!r} is a sink in one piece but not the other"
             )
     spliced = glue_graphs(emb1, emb2)
-    vm1, vm2 = spliced.vertex_names
-    em1, em2 = spliced.edge_names
-    inv1v = {n: v for v, n in vm1.items()}
-    inv2v = {n: v for v, n in vm2.items()}
-    inv1e = {n: e for e, n in em1.items()}
-    inv2e = {n: e for e, n in em2.items()}
-
-    def g_at(name):
-        total = None
-        if name in inv1v:
-            total = w1.g[inv1v[name]]
-        if name in inv2v:
-            v2 = w2.g[inv2v[name]]
-            total = v2 if total is None else total + v2
-        return total
-
-    g = {name: g_at(name) for name in spliced.graph.vertices}
-    lam = {}
-    for e in spliced.graph.edges:
-        name = e.id
-        head = e.dst
-        in1 = name in inv1e
-        in2 = name in inv2e
-        if in1 and in2:
-            num = w1.lam[inv1e[name]] * w1.g[inv1v[head]] + w2.lam[inv2e[name]] * w2.g[inv2v[head]]
-            lam[name] = num / g[head]
-        elif in1:
-            if head in spliced.shared_vertices:
-                lam[name] = w1.lam[inv1e[name]] * w1.g[inv1v[head]] / g[head]
-            else:
-                lam[name] = w1.lam[inv1e[name]]
-        else:
-            if head in spliced.shared_vertices:
-                lam[name] = w2.lam[inv2e[name]] * w2.g[inv2v[head]] / g[head]
-            else:
-                lam[name] = w2.lam[inv2e[name]]
+    shared = spliced.shared_vertices
+    gamma = emb1.source
+    g = {v: w1.g[emb1.vertex_map[v]] + w2.g[emb2.vertex_map[v]] for v in gamma.vertices}
+    lam = {
+        e.id: (w1.lam[emb1.edge_map[e.id]] * w1.g[emb1.vertex_map[e.dst]]
+               + w2.lam[emb2.edge_map[e.id]] * w2.g[emb2.vertex_map[e.dst]]) / g[e.dst]
+        for e in gamma.edges
+    }
+    for w, emb, vm, em in zip((w1, w2), (emb1, emb2), spliced.vertex_names, spliced.edge_names):
+        g.update((vm[v], w.g[v]) for v in emb.target.vertices if vm[v] not in shared)
+        for e in emb.target.edges:
+            if em[e.id] not in spliced.shared_edges:
+                head = vm[e.dst]
+                lam[em[e.id]] = w.lam[e.id] * w.g[e.dst] / g[head] if head in shared else w.lam[e.id]
     return GraphSpliceResult(glued=spliced, weight=GraphWeight(g=g, lam=lam))
 
 

@@ -21,7 +21,7 @@ from cwkms.cwweights import (
     verify_rank2,
 )
 from cwkms.errors import AmbiguousSector
-from cwkms.exact import Poly, scalar_to_float
+from cwkms.exact import ROOT_WIDTH, Poly, scalar_to_float
 from cwkms.fixtures import fig_b_double_amalgam_spec, fig_b_two_parameter_weight
 from cwkms.pathalgebra import (
     Rank2Monomial,
@@ -36,7 +36,6 @@ from cwkms.splicing import build_amalgam, splice_cw_weights, splice_graph_weight
 from .conftest import compatible_extension_pair, random_faithful_weight, random_graph
 from .test_cw_weights import ETA0
 
-ROOT_EPS = F(1, 10**14)
 RESIDUAL_TOL = F(1, 10**10)
 IDENTITY_TOL = 1e-12
 
@@ -48,14 +47,14 @@ def report(n: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_boundary_graph_classification(figb_boundary):
     t0 = time.perf_counter()
-    rep = solve_special_weights(figb_boundary.graph, ROOT_EPS)
+    rep = solve_special_weights(figb_boundary.graph)
     elapsed = time.perf_counter() - t0
     target = Poly.from_ints([1, 0, 0, -1, -1])  # 1 - x^3 - x^4
     ok = rep.det in (target, -target)
     positive = rep.families
     ok &= len(positive) == 1
     root = positive[0].eta
-    ok &= root.width() <= ROOT_EPS
+    ok &= root.width() <= ROOT_WIDTH
     eta = root.to_float()
     kernel = positive[0].kernel.positive_floats()
     expected = [eta**3, eta**2, eta, 1.0, eta**2, eta]
@@ -68,7 +67,7 @@ def test_criterion_01_boundary_graph_classification(figb_boundary):
 
 
 def test_criterion_02_standard_solve(figb):
-    fams = solve_2dcw(figb, MODE_STANDARD, eps=ROOT_EPS)
+    fams = solve_2dcw(figb, MODE_STANDARD)
     ok = len(fams) == 1
     fam = fams[0]
     eta = fam.eta.to_float()
@@ -100,7 +99,7 @@ def test_criterion_03_two_parameter_family(figb):
 
 
 def test_criterion_04_tight_solve(figb):
-    fams = solve_2dcw(figb, MODE_TIGHT, eps=ROOT_EPS)
+    fams = solve_2dcw(figb, MODE_TIGHT)
     ok = len(fams) >= 1
     fam = fams[0]
     # second determinant equals +-(1 - C^3 h^3 - C^4 h^6), checked exactly
@@ -122,8 +121,8 @@ def test_criterion_04_tight_solve(figb):
 def test_criterion_05_gamma_building(gamma_complex):
     t0 = time.perf_counter()
     bg = boundary_graph(gamma_complex)
-    rep = solve_special_weights(bg.graph, ROOT_EPS)
-    fams = solve_triangular_special(gamma_complex, ROOT_EPS)
+    rep = solve_special_weights(bg.graph)
+    fams = solve_triangular_special(gamma_complex)
     elapsed = time.perf_counter() - t0
     expected = (
         Poly.from_ints([-1, 3])

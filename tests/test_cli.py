@@ -275,9 +275,9 @@ def test_fuzzed_weight_files_exit_2(tmp_path, figb_file, weight, command):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve-graph", "--eps", "tiny", "FIG"], "argument --eps: invalid rational value: 'tiny'"),
-        (["solve-cw", "--eps", "1/0", "FIG"], "argument --eps: invalid rational value: '1/0'"),
-        (["solve-triangular", "--eps", "", "FIG"], "argument --eps: invalid rational value: ''"),
+        (["solve-graph", "--eps", "1e-3", "FIG"], "unrecognized arguments: --eps"),
+        (["solve-cw", "--eps", "1/0", "FIG"], "unrecognized arguments: --eps"),
+        (["solve-triangular", "--eps=1e-40", "FIG"], "unrecognized arguments: --eps"),
         (["verify", "--tol", "abc", "FIG", "FIG"], "argument --tol: invalid rational value: 'abc'"),
         (["kms-check", "--tol", "1e", "FIG", "FIG"], "argument --tol: invalid rational value: '1e'"),
         (["splice", "FIG", "--weights", ".", "--tol", "x"], "argument --tol: invalid rational value: 'x'"),
@@ -289,22 +289,6 @@ def test_bad_options_exit_2(capsys, figb_file, argv, message):
         main([figb_file if a == "FIG" else a for a in argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve-graph", "--boundary", "--eps", "0", "FIG"],
-        ["solve-graph", "--boundary", "--eps", "-1", "FIG"],
-        ["solve-cw", "--eps=-1/3", "FIG"],
-        ["solve-triangular", "--eps", "0.0", "FIG"],
-    ],
-)
-def test_nonpositive_eps_exit_2(capsys, figb_file, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([figb_file if a == "FIG" else a for a in argv])
-    assert exc.value.code == 2
-    assert "argument --eps: must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

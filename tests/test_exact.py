@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cwkms import exact
 from cwkms.errors import InputError, ZeroDivisor, ZeroPolynomial
 from cwkms.exact import (
+    ROOT_WIDTH,
     AlgebraicScalar,
     FieldElement,
     NumberField,
@@ -28,8 +29,6 @@ from cwkms.exact import (
 )
 
 from .conftest import det_exact
-
-EPS = F(1, 10**14)
 
 
 def test_poly_divmod_roundtrip():
@@ -151,11 +150,11 @@ class TestIsolation:
     def test_single_positive_root_of_quartic(self):
         # independent bisection oracle computed the value 0.81917251339616...
         p = Poly.from_ints([1, 0, 0, -1, -1])  # 1 - x^3 - x^4
-        roots = isolate_positive_roots(p, EPS)
+        roots = isolate_positive_roots(p)
         assert len(roots) == 1
         r = roots[0]
         assert not r.is_rational
-        assert r.width() <= EPS
+        assert r.width() <= ROOT_WIDTH
         assert abs(r.to_float() - 0.8191725133961645) < 1e-13
 
     def test_rational_and_quadratic_roots(self):
@@ -166,31 +165,31 @@ class TestIsolation:
             * Poly.from_ints([1, 1, 2])
             * Poly.from_ints([1, 1, 2])
         )
-        roots = isolate_positive_roots(p, EPS)
+        roots = isolate_positive_roots(p)
         assert len(roots) == 2
         assert roots[0].equals_rational(F(1, 3))
         assert abs(roots[1].to_float() - 2 ** -0.5) < 1e-13
 
     def test_linear(self):
-        roots = isolate_positive_roots(Poly.from_ints([-1, 1]), EPS)
+        roots = isolate_positive_roots(Poly.from_ints([-1, 1]))
         assert len(roots) == 1 and roots[0].equals_rational(1)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            isolate_positive_roots(Poly([]), EPS)
+            isolate_positive_roots(Poly([]))
 
     def test_no_positive_roots(self):
-        assert isolate_positive_roots(Poly.from_ints([1, 0, 1]), EPS) == []
+        assert isolate_positive_roots(Poly.from_ints([1, 0, 1])) == []
 
     def test_root_at_zero_is_excluded(self):
-        roots = isolate_positive_roots(Poly.from_ints([0, 0, -1, 1]), EPS)  # x^2(x-1)
+        roots = isolate_positive_roots(Poly.from_ints([0, 0, -1, 1]))  # x^2(x-1)
         assert len(roots) == 1 and roots[0].equals_rational(1)
 
     def test_rational_roots_with_large_coefficients(self):
         # (3^13 x - 1)(x^2 - 2)(5x - 7): both rational roots are found, and
         # sqrt(2) is a root of the quotient x^2 - 2 alone
         p = Poly.from_ints([-1, 3**13]) * Poly.from_ints([-2, 0, 1]) * Poly.from_ints([-7, 5])
-        small, seven_fifths, sqrt2 = isolate_positive_roots(p, EPS)
+        small, seven_fifths, sqrt2 = isolate_positive_roots(p)
         assert small.rational == F(1, 3**13) and seven_fifths.rational == F(7, 5)
         assert not sqrt2.is_rational and sqrt2.poly == Poly.from_ints([-2, 0, 1])
 
@@ -198,7 +197,7 @@ class TestIsolation:
         # near 2^(-1/3) the closest fraction with denominator <= 2 is 1, which
         # is a root of (x - 1)(2x^3 - 1) but not the one in that interval
         p = Poly.from_ints([-1, 1]) * Poly.from_ints([-1, 0, 0, 2])
-        cube, one = isolate_positive_roots(p, EPS)
+        cube, one = isolate_positive_roots(p)
         assert not cube.is_rational and cube.poly == Poly.from_ints([-1, 0, 0, 2])
         assert one.rational == 1
 
@@ -206,7 +205,7 @@ class TestIsolation:
         # a rational root 6.3e-10 above sqrt(2), and one 3.7e-10 below it
         for r, expected in ((F(1414213563, 10**9), [False, True]), (F(1414213562, 10**9), [True, False])):
             p = Poly([-r, F(1)]) * Poly.from_ints([-2, 0, 1])
-            roots = isolate_positive_roots(p, EPS)
+            roots = isolate_positive_roots(p)
             assert [x.is_rational for x in roots] == expected
             assert r in [x.rational for x in roots]
 
@@ -222,7 +221,7 @@ class TestIsolation:
             p = p * Poly([F(-r, 9), F(1)])
         for sq in squares:
             p = p * Poly([F(-sq, 4), F(0), F(1)])
-        roots = isolate_positive_roots(p, EPS)
+        roots = isolate_positive_roots(p)
         assert sorted(x.rational for x in roots if x.is_rational) == sorted(F(r, 9) for r in rationals)
         assert sum(not x.is_rational for x in roots) == len(squares)
         values = [float(x.rational) if x.is_rational else x.to_float() for x in roots]
@@ -234,16 +233,16 @@ class TestIsolation:
         p = Poly.from_ints([1])
         for r in roots_in:
             p = p * Poly([F(-r, 7), F(1)])
-        found = isolate_positive_roots(p, EPS)
+        found = isolate_positive_roots(p)
         assert sorted(f.rational for f in found) == sorted(F(r, 7) for r in roots_in)
 
     def test_midpoint_root_next_to_an_irrational_one(self):
         # (2x - 1)(2x^2 - 1): the bisection of (0, 4) reaches 1/2 as a
         # midpoint, and 1/sqrt(2) lies in the half that starts there
-        half, root = isolate_positive_roots(Poly.from_ints([-1, 2]) * Poly.from_ints([-1, 0, 2]), EPS)
+        half, root = isolate_positive_roots(Poly.from_ints([-1, 2]) * Poly.from_ints([-1, 0, 2]))
         assert half.rational == F(1, 2)
         assert root.poly == Poly.from_ints([-1, 0, 2]) and F(1, 2) <= root.lo < root.hi <= 1
-        assert root.width() <= EPS and abs(root.to_float() - 2**-0.5) < 1e-15
+        assert root.width() <= ROOT_WIDTH and abs(root.to_float() - 2**-0.5) < 1e-15
 
     @pytest.mark.parametrize(
         "planted", [[F(1, 2)], [F(1, 4), F(1, 2)], [F(3, 8), F(1, 2), F(3, 4)], [F(1, 4), F(3, 8)]]
@@ -255,7 +254,7 @@ class TestIsolation:
         p = Poly.from_ints([-3, 0, 1])
         for r in planted:
             p = p * Poly([-r, F(1)])
-        *rationals, sqrt3 = isolate_positive_roots(p, EPS)
+        *rationals, sqrt3 = isolate_positive_roots(p)
         assert [r.rational for r in rationals] == planted
         assert sqrt3.poly == Poly.from_ints([-3, 0, 1]) and abs(sqrt3.to_float() - 3**0.5) < 1e-14
 
@@ -282,7 +281,7 @@ factor_choices = st.one_of(
 def test_isolation_agrees_with_sympy(factors, zeros):
     """Repeated factors, dyadic and nearby rational roots, roots near 0 and
     near the bound: the same distinct positive roots as sympy, rational
-    ones exact, irrational ones inside intervals of width <= eps, on the
+    ones exact, irrational ones inside intervals of width <= ROOT_WIDTH, on the
     primitive square-free part without its rational roots."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -290,7 +289,7 @@ def test_isolation_agrees_with_sympy(factors, zeros):
     for f, k in factors:
         for _ in range(k):
             p = p * f
-    roots = isolate_positive_roots(p, EPS)
+    roots = isolate_positive_roots(p)
     sp = _sympy_poly(p, x)
     want = sorted({r for r in sp.real_roots() if r > 0}, key=lambda r: r.evalf(30))
     assert len(roots) == len(want)
@@ -304,7 +303,7 @@ def test_isolation_agrees_with_sympy(factors, zeros):
             rest = rest.exquo(sympy.Poly(x - r, x))
         else:
             lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (got.lo, got.hi))
-            assert lo < r < hi and got.width() <= EPS
+            assert lo < r < hi and got.width() <= ROOT_WIDTH
     primitive = rest.primitive()[1]
     if primitive.LC() < 0:
         primitive = -primitive
@@ -316,7 +315,7 @@ def test_isolation_agrees_with_sympy(factors, zeros):
 class TestNumberField:
     def field(self):
         m = Poly.from_ints([-1, 0, 0, 1, 1])  # x^4 + x^3 - 1
-        root = isolate_positive_roots(m, F(1, 10**6))[0]
+        root = isolate_positive_roots(m)[0]
         return root.number_field()
 
     def test_defining_identity(self):
@@ -345,7 +344,7 @@ class TestNumberField:
 
     def test_zero_divisor_detected(self):
         m = Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 2])  # reducible
-        roots = isolate_positive_roots(m, F(1, 10**6))
+        roots = isolate_positive_roots(m)
         k = roots[0].number_field()
         x = k.gen()
         bad = x * x * 2 - 1  # vanishing factor
@@ -356,7 +355,7 @@ class TestNumberField:
     def reducible_ring(self):
         # (2x^2 - 1)(2x^2 + x + 1): the designated root is 1/sqrt(2)
         m = Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 2])
-        return isolate_positive_roots(m, F(1, 10**6))[0].number_field()
+        return isolate_positive_roots(m)[0].number_field()
 
     def test_sign_of_representative_vanishing_at_root(self):
         k = self.reducible_ring()
@@ -547,22 +546,11 @@ def test_algebraic_scalar_refine_collapses_on_rational_hit():
     assert s.is_rational and s.rational == 1
 
 
-@pytest.mark.parametrize("eps", [0, -1, F(-1, 3), 0.0])
-def test_nonpositive_isolation_width_rejected(eps):
-    # x - 1 has only a rational root, so an unchecked width would return
-    # rather than bisect forever
-    with pytest.raises(InputError, match="must be positive"):
-        isolate_positive_roots(Poly.from_ints([-1, 1]), eps)
-
-
 def test_nonpositive_refinement_width_rejected():
-    root = isolate_positive_roots(Poly.from_ints([-2, 0, 1]), F(1, 10**6))[0]  # sqrt(2)
+    root = isolate_positive_roots(Poly.from_ints([-2, 0, 1]))[0]  # sqrt(2)
     for call in (
         lambda: root.refine(0),
         lambda: root.refine(-1),
-        lambda: root.to_float(0),
-        lambda: scalar_to_float(root, 0),
-        lambda: root.number_field().gen().to_float(0),
     ):
         with pytest.raises(InputError, match="must be positive"):
             call()
@@ -570,9 +558,9 @@ def test_nonpositive_refinement_width_rejected():
 
 
 def test_small_irrational_root_keeps_its_significant_digits():
-    root = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]), 1e-14)[0]  # sqrt(2) / 10**7
+    root = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]))[0]  # sqrt(2) / 10**7
     assert f"{root.to_float():.15g}" == "1.4142135623731e-07"
-    x = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]), 1e-14)[0].number_field().gen()
+    x = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]))[0].number_field().gen()
     assert abs(x.to_float() / (2**0.5 * 1e-7) - 1) < 1e-14
     assert f"{scalar_to_float(x):.15g}" == "1.4142135623731e-07"
 
@@ -580,9 +568,9 @@ def test_small_irrational_root_keeps_its_significant_digits():
 def test_decimal_of_one_over_sqrt2_rounds_its_15th_digit():
     # 1/sqrt(2) = 0.70710678118654752...
     for poly in (Poly.from_ints([-1, 0, 2]), Poly.from_ints([-1, -1, 0, 2, 4])):
-        root = isolate_positive_roots(poly, 1e-14)[0]
+        root = isolate_positive_roots(poly)[0]
         assert f"{root.to_float():.15g}" == "0.707106781186548"
-        x = isolate_positive_roots(poly, 1e-14)[0].exact_value()
+        x = isolate_positive_roots(poly)[0].exact_value()
         assert f"{scalar_to_float(x):.15g}" == "0.707106781186548"
 
 
@@ -593,7 +581,7 @@ def test_to_float_of_an_exact_zero_terminates():
     # 2x^2 - 1 vanishes at the root 1/sqrt(2) of a reducible modulus: its
     # enclosure contains 0 at every width
     m = Poly.from_ints([-1, 0, 2]) * Poly.from_ints([1, 1, 2])
-    x = isolate_positive_roots(m, F(1, 10**6))[0].number_field().gen()
+    x = isolate_positive_roots(m)[0].number_field().gen()
     assert (x * x * 2 - 1).to_float() == 0.0
 
 
@@ -613,7 +601,7 @@ MODULI = {
 @functools.lru_cache(maxsize=None)
 def _ring(name: str) -> NumberField:
     m = MODULI[name]
-    return NumberField(m, isolate_positive_roots(m, F(1, 10**6))[-1])
+    return NumberField(m, isolate_positive_roots(m)[-1])
 
 
 field_coeffs = st.lists(st.builds(F, st.integers(-20, 20), st.integers(1, 12)), max_size=8)
@@ -883,7 +871,7 @@ REFERENCE_MODULI = {
 @functools.lru_cache(maxsize=None)
 def _reference_field(name: str) -> NumberField:
     m = REFERENCE_MODULI[name]
-    return NumberField(m, isolate_positive_roots(m, F(1, 10**6))[0])
+    return NumberField(m, isolate_positive_roots(m)[0])
 
 
 def _mod(p: Poly, k: NumberField) -> Poly:
@@ -1087,9 +1075,7 @@ def test_bounds_a_float_cannot_hold_are_input_errors(value):
     with pytest.raises(InputError, match="a float can hold"):
         as_tolerance(value)
     with pytest.raises(InputError, match="a float can hold"):
-        isolate_positive_roots(Poly.from_ints([-2, 0, 1]), value)
-    with pytest.raises(InputError, match="a float can hold"):
-        _reference_field("Q(eta)").zero().to_float(value)  # read before the zero is seen
+        isolate_positive_roots(Poly.from_ints([-2, 0, 1]))[0].refine(value)
     assert as_tolerance(-0.5) == F(-1, 2) and as_tolerance(F(1, 10**400)) == F(1, 10**400)
 
 

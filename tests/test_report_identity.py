@@ -219,7 +219,7 @@ def test_residual_vanishing_at_the_root_of_a_reducible_modulus(figb, figb_standa
     vanish at the root, so they pass with 0.0 by their signs."""
     root = figb_standard.eta["s1"].field.root
     m = Poly.from_ints([-1, 0, 0, 1, 1]) * Poly.from_ints([-3, 1])
-    k = NumberField(m, isolate_positive_roots(root.poly, F(1, 10**6))[0])
+    k = NumberField(m, isolate_positive_roots(root.poly)[0])
     w = fig_b_standard_weight(k.gen(), 1)
     assert any(r.nums for r in boundary_weight_residuals(figb, w.lam, w.eta_at).values())
     want = _assert_same_rank2(figb, w)

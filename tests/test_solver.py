@@ -23,14 +23,13 @@ from cwkms.solver import (
     boundary_matrix,
     det_polynomial,
     positive_kernel,
-    positive_roots,
     solve_special_weights,
     verify_graph_weight,
 )
 
 from .conftest import det_exact, random_graph
 
-SQRT2 = isolate_positive_roots(Poly.from_ints([-2, 0, 1]), F(1, 10**6))[0]
+SQRT2 = isolate_positive_roots(Poly.from_ints([-2, 0, 1]))[0]
 
 LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
 TWO_CYCLES = {
@@ -261,7 +260,7 @@ class TestBoundaryMatrix:
 
 class TestPositiveRoots:
     def test_quartic(self):
-        roots = positive_roots(Poly.from_ints([1, 0, 0, -1, -1]))
+        roots = isolate_positive_roots(Poly.from_ints([1, 0, 0, -1, -1]))
         assert len(roots) == 1
         assert abs(roots[0].to_float() - 0.8191725133961645) < 1e-13
 
@@ -272,13 +271,13 @@ class TestPositiveRoots:
             * Poly.from_ints([1, 1, 2])
             * Poly.from_ints([-1, 0, 2])
         )
-        roots = positive_roots(p)
+        roots = isolate_positive_roots(p)
         assert len(roots) == 2
         assert roots[0].equals_rational(F(1, 3))
         assert abs(roots[1].to_float() - 2 ** -0.5) < 1e-13
 
     def test_linear(self):
-        roots = positive_roots(Poly.from_ints([-1, 1]))
+        roots = isolate_positive_roots(Poly.from_ints([-1, 1]))
         assert len(roots) == 1 and roots[0].equals_rational(1)
 
 
@@ -326,7 +325,7 @@ class TestSolvePipeline:
 
     def test_solutions_verify(self, figb_boundary, gamma_complex):
         for graph in (figb_boundary.graph, boundary_graph(gamma_complex).graph):
-            rep = solve_special_weights(graph, F(1, 10**14))
+            rep = solve_special_weights(graph)
             for fam in rep.faithful_families():
                 lam_f = fam.eta.to_float()
                 g = dict(zip(graph.vertices, fam.kernel.positive_floats()))

@@ -124,6 +124,21 @@ class TestGraphSplice:
         with pytest.raises(BadEmbedding):
             glue_graphs(identity_embedding(g1, t), identity_embedding(g2, t))
 
+    def test_shared_id_with_a_piece_prefix_glues(self):
+        # a shared id that looks like a generated name is still shared
+        gamma = build_graph({"vertices": ["1:a"], "edges": []})
+        t1 = build_graph({"vertices": ["1:a", "b"], "edges": []})
+        t2 = build_graph({"vertices": ["1:a"], "edges": []})
+        glued = glue_graphs(identity_embedding(gamma, t1), identity_embedding(gamma, t2))
+        assert glued.graph.vertices == ("1:a", "1:b")
+        assert glued.vertex_names == ({"1:a": "1:a", "b": "1:b"}, {"1:a": "1:a"})
+
+    def test_generated_name_equal_to_a_shared_id_collides(self):
+        gamma = build_graph({"vertices": ["1:v"], "edges": []})
+        t1 = build_graph({"vertices": ["1:v", "v"], "edges": []})
+        with pytest.raises(BadEmbedding, match="id collision"):
+            glue_graphs(identity_embedding(gamma, t1), identity_embedding(gamma, gamma))
+
     def test_mismatched_sink_structure_rejected(self):
         # v is a sink in the second piece only; the glued equation at v
         # could not absorb g2(v), so the splice must refuse
