@@ -292,6 +292,23 @@ def test_bad_options_exit_2(capsys, figb_file, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-graph", "--boundary", "--eps", "0", "FIG"],
+        ["solve-graph", "--boundary", "--eps", "-1", "FIG"],
+        ["solve-cw", "--eps=-1/3", "FIG"],
+        ["solve-triangular", "--eps", "0.0", "FIG"],
+    ],
+)
+def test_nonpositive_eps_exit_2(capsys, figb_file, argv):
+    # the root width is a constant, so any --eps is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main([figb_file if a == "FIG" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command",
     [["verify", "FIG", "FIG"], ["kms-check", "FIG", "FIG"], ["splice", "FIG", "--weights", "."]],
 )

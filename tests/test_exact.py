@@ -546,6 +546,15 @@ def test_algebraic_scalar_refine_collapses_on_rational_hit():
     assert s.is_rational and s.rational == 1
 
 
+@pytest.mark.parametrize("eps", [0, -1, F(-1, 3), 0.0])
+def test_nonpositive_isolation_width_rejected(eps):
+    # sqrt(2) is irrational, so an unchecked width would bisect forever
+    root = isolate_positive_roots(Poly.from_ints([-2, 0, 1]))[0]
+    with pytest.raises(InputError, match="must be positive"):
+        root.refine(eps)
+    assert root.width() <= ROOT_WIDTH
+
+
 def test_nonpositive_refinement_width_rejected():
     root = isolate_positive_roots(Poly.from_ints([-2, 0, 1]))[0]  # sqrt(2)
     for call in (
