@@ -23,8 +23,6 @@ from .complexes import (
     Oriented2Complex,
     boundary_graph,
     build_complex,
-    complex_from_json,
-    complex_to_json,
     predecessor_graph,
 )
 from .cwweights import (

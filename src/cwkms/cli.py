@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 from . import buildings, fixtures
 from .complexes import boundary_graph, build_complex, complex_to_dict
 from .cwweights import (
+    MODE_RANK2,
     MODE_STANDARD,
     MODE_TIGHT,
     Rank2Weight,
@@ -421,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("object")
     p.add_argument("weight")
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    p.add_argument("--mode", default=None, help="override rank-2 coupling mode")
+    p.add_argument("--mode", choices=[MODE_RANK2, MODE_STANDARD, MODE_TIGHT], help="override rank-2 coupling mode")
     p.add_argument("--boundary", action="store_true")
     p.set_defaults(func=cmd_verify)
 

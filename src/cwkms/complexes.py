@@ -8,7 +8,6 @@ pair inside a face word; the predecessor graph is its reversal.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,11 +117,3 @@ def complex_to_dict(c: Oriented2Complex) -> dict:
     out = graph_to_dict(c.skeleton)
     out["faces"] = [{"id": f.id, "boundary": list(f.boundary)} for f in c.faces]
     return out
-
-
-def complex_to_json(c: Oriented2Complex) -> str:
-    return json.dumps(complex_to_dict(c), indent=2)
-
-
-def complex_from_json(text: str) -> Oriented2Complex:
-    return build_complex(json.loads(text))

@@ -574,13 +574,15 @@ def weight_from_dict(data, mode: str | None = None) -> TriangularWeight | Rank2W
         return {k: parse_scalar(v) for k, v in data[key].items()}
 
     if "eta_a" in data:
+        if not isinstance(data.get("tight", False), bool):
+            raise InputError("weight file field 'tight' must be a JSON boolean")
         return TriangularWeight(
             g=values("g"),
             lambda_tilde=values("lambda_tilde"),
             lam=values("lambda"),
             eta_a=values("eta_a"),
             eta_b=values("eta_b"),
-            tight=bool(data.get("tight", False)),
+            tight=data.get("tight", False),
         )
     if "lambda_tilde" in data:
         mode = mode or data.get("mode", MODE_RANK2)

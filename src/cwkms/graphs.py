@@ -7,7 +7,6 @@ repeated runs produce identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import DanglingEndpoint, DuplicateId, InputError, UnknownVertex
@@ -171,11 +170,3 @@ def graph_to_dict(graph: DirectedGraph) -> dict:
     if graph.labels:
         out["labels"] = dict(graph.labels)
     return out
-
-
-def graph_to_json(graph: DirectedGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=False)
-
-
-def graph_from_json(text: str) -> DirectedGraph:
-    return build_graph(json.loads(text))

@@ -1,6 +1,12 @@
 """Splicing weights across graphs glued along a common subgraph, and across
 amalgams of 2-complexes glued along shared residue graphs.
 
+Both gluings are one colimit of graphs along attachment embeddings, with one
+naming rule: a glued class that holds a residue element (for a graph splice,
+an element of the shared graph) is named by its smallest residue id, and
+every other element by "<piece>:<id>" (the graph splice's pieces are "1" and
+"2").
+
 The graph-level recipe: on the glued graph, g adds up on shared vertices and
 restricts elsewhere, while lambda rescales by the ratio g_i(dst)/(g_1+g_2)(dst)
 on edges running into the shared part (and averages with those ratios on the
@@ -53,6 +59,89 @@ class GraphEmbedding:
 
 
 @dataclass
+class Attachment:
+    piece: str
+    residue: str
+    embedding: GraphEmbedding
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _colimit(pieces: dict[str, DirectedGraph], attachments: list[Attachment]) -> tuple[DirectedGraph, dict, dict]:
+    """The piece graphs glued along the attachment embeddings and named by
+    the module's rule: the glued graph and, per piece, its vertex and edge
+    name maps.  Elements are listed piece by piece, each class where it is
+    first met.  Only attachment images enter the union-find; every other
+    element is named directly."""
+    ufs = (_UnionFind(), _UnionFind())
+    for att in attachments:
+        for uf, m in zip(ufs, (att.embedding.vertex_map, att.embedding.edge_map)):
+            for sid, tid in m.items():
+                uf.union(("piece", att.piece, tid), ("res", att.residue, sid))
+    class_names: tuple[dict, dict] = ({}, {})  # root -> smallest residue id
+    image_roots: tuple[dict, dict] = ({}, {})  # piece -> image id -> root
+    for uf, names, images, kind in zip(ufs, class_names, image_roots, ("vertices", "edges")):
+        members: dict = {}  # (residue, root) -> the residue's element in that class
+        for token in list(uf.parent):
+            tag, owner, eid = token
+            root = uf.find(token)
+            if tag == "piece":
+                images.setdefault(owner, {})[eid] = root
+                continue
+            if members.setdefault((owner, root), eid) != eid:
+                # gluing must stay injective on each residue
+                raise IncompatibleAttachment(
+                    f"residue {owner!r}: {kind} {members[(owner, root)]!r} and {eid!r} collapsed"
+                )
+            best = names.setdefault(root, eid)
+            if type(eid) is not type(best):
+                raise IncompatibleAttachment(f"residue ids {best!r} and {eid!r} name one element")
+            if eid < best:
+                names[root] = eid
+
+    vowner: dict = {}  # glued id -> its root, None if named directly
+    eowner: dict = {}
+    edges: list[Edge] = []
+    vmaps: dict = {}
+    emaps: dict = {}
+    for piece, graph in pieces.items():
+        vroots, eroots = image_roots[0].get(piece, {}), image_roots[1].get(piece, {})
+        vmap = vmaps[piece] = {}
+        for v in graph.vertices:
+            root = vroots.get(v)
+            name = vmap[v] = f"{piece}:{v}" if root is None else class_names[0][root]
+            if name not in vowner:
+                vowner[name] = root
+            elif root is None or vowner[name] != root:
+                raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
+        emap = emaps[piece] = {}
+        for e in graph.edges:
+            root = eroots.get(e.id)
+            name = emap[e.id] = f"{piece}:{e.id}" if root is None else class_names[1][root]
+            if name not in eowner:
+                eowner[name] = root
+                edges.append(Edge(name, vmap[e.src], vmap[e.dst]))
+            elif root is None or eowner[name] != root:
+                raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
+    return DirectedGraph(tuple(vowner), tuple(edges)), vmaps, emaps
+
+
+@dataclass
 class SplicedGraph:
     """Pushout of two graphs along a shared subgraph, with the renaming maps
     from each piece into the result."""
@@ -65,41 +154,27 @@ class SplicedGraph:
 
 
 def glue_graphs(emb1: GraphEmbedding, emb2: GraphEmbedding) -> SplicedGraph:
-    """Union of the two targets identified along the common source graph.
-
-    Identified elements keep the source graph's ids; everything else is
-    prefixed with its piece index, which keeps output diffable."""
+    """The colimit of the shared graph, as piece "0" attached to itself by
+    the identity, and the two targets, as pieces "1" and "2"."""
     if emb1.source != emb2.source:
         raise BadEmbedding("embeddings must share their source graph")
     emb1.validate()
     emb2.validate()
     gamma = emb1.source
-    vertices, edges = list(gamma.vertices), list(gamma.edges)
-    vmaps: list[dict] = []
-    emaps: list[dict] = []
-    for idx, emb in ((1, emb1), (2, emb2)):
-        # the image keeps the source ids; every other element is the piece's own
-        vmap = {tv: sv for sv, tv in emb.vertex_map.items()}
-        for v in emb.target.vertices:
-            if v not in vmap:
-                vmap[v] = f"{idx}:{v}"
-                vertices.append(vmap[v])
-        emap = {te: se for se, te in emb.edge_map.items()}
-        for e in emb.target.edges:
-            if e.id not in emap:
-                emap[e.id] = f"{idx}:{e.id}"
-                edges.append(Edge(emap[e.id], vmap[e.src], vmap[e.dst]))
-        vmaps.append(vmap)
-        emaps.append(emap)
-    if len(set(vertices)) != len(vertices) or len({e.id for e in edges}) != len(edges):
-        raise BadEmbedding("id collision while gluing; avoid raw ids of the form '1:...'")
-    graph = DirectedGraph(tuple(vertices), tuple(edges))
+    vertices, edge_ids = gamma.vertices, gamma.edge_ids()
+    identity = GraphEmbedding(gamma, gamma, dict(zip(vertices, vertices)), dict(zip(edge_ids, edge_ids)))
+    pieces = {"0": gamma, "1": emb1.target, "2": emb2.target}
+    attachments = [Attachment(p, "shared", emb) for p, emb in zip(pieces, (identity, emb1, emb2))]
+    try:
+        graph, vmaps, emaps = _colimit(pieces, attachments)
+    except IncompatibleAttachment as exc:
+        raise BadEmbedding(f"id collision while gluing: {exc}") from exc
     return SplicedGraph(
         graph=graph,
-        vertex_names=(vmaps[0], vmaps[1]),
-        edge_names=(emaps[0], emaps[1]),
-        shared_vertices=frozenset(gamma.vertices),
-        shared_edges=frozenset(gamma.edge_ids()),
+        vertex_names=(vmaps["1"], vmaps["2"]),
+        edge_names=(emaps["1"], emaps["2"]),
+        shared_vertices=frozenset(vertices),
+        shared_edges=frozenset(edge_ids),
     )
 
 
@@ -158,13 +233,6 @@ def splice_graph_weights(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Attachment:
-    piece: str
-    residue: str
-    embedding: GraphEmbedding
-
-
-@dataclass
 class Amalgam:
     """Pieces glued along residue graphs via attachment embeddings, together
     with the assembled foundation complex and the renaming maps."""
@@ -178,27 +246,11 @@ class Amalgam:
     face_names: dict    # (piece, face) -> foundation face id
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def build_amalgam(spec: dict) -> Amalgam:
-    """Assemble the foundation complex: disjoint union of the pieces with
-    skeleton elements identified along the residue attachments.  Faces are
-    never identified (residues are one-dimensional)."""
+    """Assemble the foundation complex: the colimit of the piece skeletons
+    along the residue attachments, with every piece's faces renamed
+    "<piece>:<id>".  Faces are never identified (residues are
+    one-dimensional).  A lone piece without attachments keeps its raw ids."""
     spec_object(spec, "amalgam spec")
     pieces = {
         name: build_complex(spec_object(cspec, f"piece {name!r}"))
@@ -233,110 +285,27 @@ def build_amalgam(spec: dict) -> Amalgam:
             raise IncompatibleAttachment(f"attachment {pname!r}<-{rname!r}: {exc}") from exc
         attachments.append(Attachment(pname, rname, emb))
 
-    single = len(pieces) == 1 and not attachments
-    if single:
+    if len(pieces) == 1 and not attachments:
         (pname, piece), = pieces.items()
         vertex_names = {(pname, v): v for v in piece.skeleton.vertices}
         edge_names = {(pname, e): e for e in piece.skeleton.edge_ids()}
         face_names = {(pname, f.id): f.id for f in piece.faces}
         return Amalgam(pieces, residues, attachments, piece, vertex_names, edge_names, face_names)
 
-    uf_v, uf_e = _UnionFind(), _UnionFind()
-    for att in attachments:
-        for sv, tv in att.embedding.vertex_map.items():
-            uf_v.union(("piece", att.piece, tv), ("res", att.residue, sv))
-        for se, te in att.embedding.edge_map.items():
-            uf_e.union(("piece", att.piece, te), ("res", att.residue, se))
-
-    # A glued class is named by the smallest residue id among its members;
-    # a class with no residue member keeps "<piece>:<id>".
-    res_name = {"v": _smallest_residue_ids(uf_v), "e": _smallest_residue_ids(uf_e)}
-    name_owner: dict[str, dict] = {"v": {}, "e": {}}
-
-    def class_name(uf, token, kind_key: str) -> str:
-        root = uf.find(token)
-        name = res_name[kind_key].get(root)
-        if name is None:
-            _, pname, eid = token
-            name = f"{pname}:{eid}"
-        owners = name_owner[kind_key]
-        if owners.setdefault(name, root) != root:
-            raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
-        return name
-
-    vertex_names: dict = {}
-    edge_names: dict = {}
-    face_names: dict = {}
-    vertices: list[str] = []
-    edges: list[Edge] = []
-    faces: list[Face] = []
-    seen_v: set[str] = set()
-    seen_e: set[str] = set()
-    for pname in pieces:
-        piece = pieces[pname]
-        for v in piece.skeleton.vertices:
-            name = class_name(uf_v, ("piece", pname, v), "v")
-            vertex_names[(pname, v)] = name
-            if name not in seen_v:
-                seen_v.add(name)
-                vertices.append(name)
-        for e in piece.skeleton.edges:
-            name = class_name(uf_e, ("piece", pname, e.id), "e")
-            edge_names[(pname, e.id)] = name
-            if name not in seen_e:
-                seen_e.add(name)
-                edges.append(
-                    Edge(name, vertex_names[(pname, e.src)], vertex_names[(pname, e.dst)])
-                )
-        for f in piece.faces:
-            fname = f"{pname}:{f.id}"
-            face_names[(pname, f.id)] = fname
-            word = tuple(edge_names[(pname, eid)] for eid in f.boundary)
-            faces.append(Face(fname, word))
-
-    skeleton = DirectedGraph(tuple(vertices), tuple(edges))
-    foundation = Oriented2Complex(skeleton, tuple(faces))
-    _check_identifications(attachments, vertex_names, edge_names)
+    skeleton, vmaps, emaps = _colimit({p: c.skeleton for p, c in pieces.items()}, attachments)
+    vertex_names = {(p, v): name for p, m in vmaps.items() for v, name in m.items()}
+    edge_names = {(p, e): name for p, m in emaps.items() for e, name in m.items()}
+    face_names = {(p, f.id): f"{p}:{f.id}" for p, c in pieces.items() for f in c.faces}
+    for fname, count in Counter(face_names.values()).items():
+        if count > 1:
+            raise IncompatibleAttachment(f"distinct faces both resolve to id {fname!r}")
+    faces = tuple(
+        Face(face_names[(p, f.id)], tuple(emaps[p][eid] for eid in f.boundary))
+        for p, c in pieces.items()
+        for f in c.faces
+    )
+    foundation = Oriented2Complex(skeleton, faces)
     return Amalgam(pieces, residues, attachments, foundation, vertex_names, edge_names, face_names)
-
-
-def _smallest_residue_ids(uf: _UnionFind) -> dict:
-    """Root of each class with a residue member -> its smallest residue id,
-    in one pass over the union-find entries."""
-    out: dict = {}
-    for token in uf.parent:
-        if token[0] == "res":
-            root = uf.find(token)
-            rid = token[2]
-            if root not in out:
-                out[root] = rid
-            elif type(rid) is not type(out[root]):
-                raise IncompatibleAttachment(f"residue ids {out[root]!r} and {rid!r} name one element")
-            elif rid < out[root]:
-                out[root] = rid
-    return out
-
-
-def _check_identifications(attachments, vertex_names, edge_names) -> None:
-    """Gluing must stay injective on each residue: two distinct elements of
-    one residue may not collapse to the same foundation element."""
-    for att in attachments:
-        v_targets = {}
-        for sv, tv in att.embedding.vertex_map.items():
-            name = vertex_names[(att.piece, tv)]
-            if name in v_targets and v_targets[name] != sv:
-                raise IncompatibleAttachment(
-                    f"residue {att.residue!r}: vertices {v_targets[name]!r} and {sv!r} collapsed"
-                )
-            v_targets[name] = sv
-        e_targets = {}
-        for se, te in att.embedding.edge_map.items():
-            name = edge_names[(att.piece, te)]
-            if name in e_targets and e_targets[name] != se:
-                raise IncompatibleAttachment(
-                    f"residue {att.residue!r}: edges {e_targets[name]!r} and {se!r} collapsed"
-                )
-            e_targets[name] = se
 
 
 def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_TOL) -> Rank2Weight:

@@ -15,7 +15,7 @@ from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec, gamma_q2_presentation_spec
 
-from .test_golden import expected, golden_text
+from .test_golden import INPUTS, expected, golden_text
 
 
 def run(capsys, *argv):
@@ -199,6 +199,8 @@ def test_malformed_json(capsys, tmp_path):
 
 
 WEIGHT_FIELDS = ["g", "lambda", "lambda_tilde", "eta", "eta_a", "eta_b", "eta_instances", "mode", "tight"]
+GAMMA_SPEC = json.loads((INPUTS / "gamma.json").read_text())
+GAMMA_TRIANGULAR = json.loads((INPUTS / "gamma-triangular.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -211,6 +213,7 @@ WEIGHT_FIELDS = ["g", "lambda", "lambda_tilde", "eta", "eta_a", "eta_b", "eta_in
         ("verify", FIG_B_SPEC, {"g": {"u": float("inf")}, "lambda": {}}, "not a finite rational value"),
         ("verify", FIG_B_SPEC, {"g": {}, "lambda": {}, "lambda_tilde": {}, "mode": "loose"}, "unknown rank-2"),
         ("verify", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
+        ("verify", GAMMA_SPEC, {**GAMMA_TRIANGULAR, "tight": "false"}, "field 'tight' must be a JSON boolean"),
         ("kms-check", FIG_B_SPEC, {"g": [1, 2], "lambda": {}}, "field 'g' must be a JSON object"),
         ("kms-check", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
         ("kms-check", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
@@ -282,6 +285,7 @@ def test_fuzzed_weight_files_exit_2(tmp_path, figb_file, weight, command):
         (["kms-check", "--tol", "1e", "FIG", "FIG"], "argument --tol: invalid rational value: '1e'"),
         (["splice", "FIG", "--weights", ".", "--tol", "x"], "argument --tol: invalid rational value: 'x'"),
         (["solve-cw", "--special", "FIG"], "unrecognized arguments: --special"),
+        (["verify", "--mode", "bogus", "FIG", "FIG"], "argument --mode: invalid choice: 'bogus'"),
     ],
 )
 def test_bad_options_exit_2(capsys, figb_file, argv, message):

@@ -61,10 +61,6 @@ CASES = {
     "a2-lattice-check-base": ["a2", "lattice-check", "--q", "2", "--bound", "4,4", "--base", "a=1", "--base", "b=3/7"],
 }
 
-# about 5 s; test_cli.test_a2_sectors runs it once and compares there
-SLOW_CASES = {"a2-sectors-matched-gamma-q2"}
-
-
 def argv_of(case: str) -> list[str]:
     return [a.replace("{in}", str(INPUTS)) for a in CASES[case]]
 
@@ -85,7 +81,7 @@ def expected(case: str) -> str:
     return (GOLDEN / f"{case}.out").read_text()
 
 
-@pytest.mark.parametrize("case", sorted(set(CASES) - SLOW_CASES))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case):
     assert run_case(case) == expected(case)
 

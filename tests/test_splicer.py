@@ -11,7 +11,7 @@ from cwkms.cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight, solve_2dcw, 
 from cwkms.errors import BadEmbedding, IncompatibleAttachment, ModeError, NotFaithful
 from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec
-from cwkms.graphs import build_graph
+from cwkms.graphs import build_graph, graph_to_dict
 from cwkms.solver import GraphWeight, verify_graph_weight
 from cwkms.splicing import (
     GraphEmbedding,
@@ -321,6 +321,8 @@ def test_amalgam_names_follow_the_smallest_residue_rule(form):
     am = build_amalgam(spec)
     assert am.vertex_names == _reference_names(spec, "v")
     assert am.edge_names == _reference_names(spec, "e")
+    # each class is listed where it is first met, piece by piece
+    assert am.foundation.skeleton.vertices == tuple(dict.fromkeys(am.vertex_names.values()))
     shared = {am.vertex_names[(p, "v")] for p in spec["pieces"]}
     assert shared == {"w15" if form == "star" else "w01"}
     assert len(am.foundation.skeleton.vertices) == 16 * 3 + 2
@@ -332,4 +334,81 @@ def test_string_and_integer_residue_ids_in_one_class_rejected():
     spec["attachments"][1] = {"piece": "p2", "residue": "r2", "vertex_map": {1: "v", 2: "u"}, "edge_map": {3: "d"}}
     spec["attachments"].append({**spec["attachments"][1], "piece": "p1"})
     with pytest.raises(IncompatibleAttachment, match="name one element"):
+        build_amalgam(spec)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_glue_graphs_is_the_amalgam_of_the_shared_graph_and_both_targets(seed):
+    """glue_graphs names and orders like the amalgam {"0": shared graph,
+    "1": first target, "2": second target}, the shared graph attached to
+    every piece; some shared ids look like generated names ("1:v0"), and
+    the targets list the shared elements in another order."""
+    rng = random.Random(seed)
+    base = random_graph(rng, n_max=4)
+
+    def ren(x):
+        return f"1:{x}" if rng.random() < 0.5 else x
+
+    vnames = {v: ren(v) for v in base.vertices}
+    gamma = build_graph({
+        "vertices": list(vnames.values()),
+        "edges": [{"id": ren(e.id), "src": vnames[e.src], "dst": vnames[e.dst]} for e in base.edges],
+    })
+
+    def shuffled(g):
+        spec = graph_to_dict(g)
+        rng.shuffle(spec["vertices"])
+        rng.shuffle(spec["edges"])
+        t = build_graph(spec)
+        return t, identity_embedding(gamma, t)
+
+    (t1, e1), (t2, e2) = (shuffled(t) for t, _ in compatible_extension_pair(rng, gamma))
+    glued = glue_graphs(e1, e2)
+    spec = {
+        "pieces": {p: graph_to_dict(g) for p, g in (("0", gamma), ("1", t1), ("2", t2))},
+        "attachments": [
+            {"piece": p, "residue": "shared", "vertex_map": emb.vertex_map, "edge_map": emb.edge_map}
+            for p, emb in (("0", identity_embedding(gamma, gamma)), ("1", e1), ("2", e2))
+        ],
+    }
+    for kind, names, ids in (("v", glued.vertex_names, glued.graph.vertices),
+                             ("e", glued.edge_names, glued.graph.edge_ids())):
+        ref = _reference_names(spec, kind)
+        for i, piece in enumerate(("1", "2")):
+            assert names[i] == {eid: name for (p, eid), name in ref.items() if p == piece}
+        assert ids == tuple(dict.fromkeys(ref.values()))
+
+
+def test_residue_collapsed_by_another_residue_rejected():
+    # r1 swaps v and u between the pieces; r2 then glues the two v's, so
+    # r1's a and b land in one class
+    spec = {
+        "pieces": {"p1": FIG_B_SPEC, "p2": FIG_B_SPEC},
+        "residues": {"r1": {"vertices": ["a", "b"], "edges": []}, "r2": {"vertices": ["c"], "edges": []}},
+        "attachments": [
+            {"piece": "p1", "residue": "r1", "vertex_map": {"a": "v", "b": "u"}, "edge_map": {}},
+            {"piece": "p2", "residue": "r1", "vertex_map": {"a": "u", "b": "v"}, "edge_map": {}},
+            {"piece": "p1", "residue": "r2", "vertex_map": {"c": "v"}, "edge_map": {}},
+            {"piece": "p2", "residue": "r2", "vertex_map": {"c": "v"}, "edge_map": {}},
+        ],
+    }
+    with pytest.raises(IncompatibleAttachment, match="residue 'r1': vertices 'a' and 'b' collapsed"):
+        build_amalgam(spec)
+
+
+def test_residue_id_equal_to_a_generated_name_collides():
+    # the class of v is named "p1:x", which is also p1's own x
+    spec = fig_b_double_amalgam_spec()
+    spec["residues"]["r"] = {"vertices": ["p1:x", "u"], "edges": [{"id": "d", "src": "p1:x", "dst": "u"}]}
+    for att in spec["attachments"]:
+        att["vertex_map"] = {"p1:x": "v", "u": "u"}
+    with pytest.raises(IncompatibleAttachment, match="distinct elements both resolve to id 'p1:x'"):
+        build_amalgam(spec)
+
+
+def test_face_id_equal_to_a_generated_name_collides():
+    # piece "p" names its face "b:s1" as "p:b:s1", and so does piece "p:b" its s1
+    renamed = {**FIG_B_SPEC, "faces": [{**FIG_B_SPEC["faces"][0], "id": "b:s1"}, FIG_B_SPEC["faces"][1]]}
+    spec = {"pieces": {"p": renamed, "p:b": FIG_B_SPEC}, "residues": {}, "attachments": []}
+    with pytest.raises(IncompatibleAttachment, match="distinct faces both resolve to id 'p:b:s1'"):
         build_amalgam(spec)
