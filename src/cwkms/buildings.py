@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .complexes import Oriented2Complex, build_complex
 from .errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
-from .exact import scalar_sign, scalar_to_float
+from .exact import scalar_sign
 from .graphs import DirectedGraph, build_graph, spec_ids, spec_int, spec_list, spec_object
 from .solver import SpecialWeightFamily, solve_special_weights
 
@@ -297,12 +297,12 @@ def matched_weight_search(gplus: DirectedGraph, gminus: DirectedGraph) -> list[M
     rm = solve_special_weights(gminus)
     out = []
     for fp in rp.faithful_families():
-        vp = dict(zip(gplus.vertices, fp.kernel.positive_floats()))
-        lp = fp.eta.to_float()
+        vp = dict(zip(gplus.vertices, map(float, fp.kernel.positive)))
+        lp = float(fp.eta)
         prod_p = {v: lp * vp[v] for v in gplus.vertices}
         for fm in rm.faithful_families():
-            vm = dict(zip(gminus.vertices, fm.kernel.positive_floats()))
-            lm = fm.eta.to_float()
+            vm = dict(zip(gminus.vertices, map(float, fm.kernel.positive)))
+            lm = float(fm.eta)
             prod_m = {v: lm * vm[v] for v in gminus.vertices}
             ratios = [prod_p[v] / prod_m[v] for v in gplus.vertices]
             t = ratios[0]
@@ -395,7 +395,7 @@ def lattice_weight_check(q: int, bound: tuple[int, int], base: dict, law=None) -
             if isinstance(r, float):
                 exact = False
             residuals[(letter, m1, m2, direction)] = r
-    maxr = max((abs(scalar_to_float(r)) for r in residuals.values()), default=0.0)
+    maxr = max((abs(float(r)) for r in residuals.values()), default=0.0)
     passed = all(
         (r == 0 if not isinstance(r, float) else abs(r) <= 1e-12) for r in residuals.values()
     )

@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -30,7 +31,7 @@ from .cwweights import (
     weight_from_dict,
 )
 from .errors import AmbiguousSector, CWKMSError, InputError
-from .exact import AlgebraicScalar, scalar_to_float
+from .exact import AlgebraicScalar, decimal, format_scalar, parse_scalar
 from .graphs import build_graph, graph_to_dict
 from .pathalgebra import (
     Rank2Monomial,
@@ -40,13 +41,7 @@ from .pathalgebra import (
     gauge_check,
     kms_check,
 )
-from .solver import (
-    DEFAULT_TOL,
-    format_scalar,
-    parse_scalar,
-    solve_special_weights,
-    verify_graph_weight,
-)
+from .solver import DEFAULT_TOL, solve_special_weights, verify_graph_weight
 from .splicing import build_amalgam, splice_cw_weights
 
 EXIT_OK = 0
@@ -86,15 +81,14 @@ def tolerance(text: str) -> Fraction:
 
 def _scalar_json(x) -> dict:
     """Decimal string plus the exact form when one is available."""
+    out = {"decimal": decimal(x)}
     if isinstance(x, (int, Fraction)):
-        return {"decimal": f"{float(x):.15g}", "rational": format_scalar(Fraction(x))}
-    if not isinstance(x, AlgebraicScalar):
-        return {"decimal": f"{scalar_to_float(x):.15g}"}
-    out = {"decimal": f"{x.to_float():.15g}"}
-    if x.is_rational:
-        out["rational"] = format_scalar(x.rational)
-    else:
-        out["minimal_poly"] = [str(c) for c in x.poly.coeffs]
+        out["rational"] = format_scalar(x)
+    elif isinstance(x, AlgebraicScalar):
+        if x.is_rational:
+            out["rational"] = format_scalar(x.rational)
+        else:
+            out["minimal_poly"] = [str(c) for c in x.poly.coeffs]
     return out
 
 
@@ -129,7 +123,7 @@ def _family_json(fam) -> dict:
         "kernel_dim": fam.kernel.dim,
     }
     if fam.kernel.positive is not None:
-        out["kernel"] = [f"{v:.15g}" for v in fam.kernel.positive_floats()]
+        out["kernel"] = [decimal(v) for v in fam.kernel.positive]
     return out
 
 
@@ -236,12 +230,14 @@ def cmd_verify(args) -> int:
     obj, digest1 = _load_json(args.object)
     wdata, digest2 = _load_json(args.weight)
     w = weight_from_dict(wdata, args.mode)
+    if args.mode and not isinstance(w, Rank2Weight):
+        raise InputError("verify --mode takes a rank-2 weight, not a graph or triangular one")
     if isinstance(w, TriangularWeight):
-        rep = verify_triangular(build_complex(obj), w, args.tol).to_dict()
+        rep = asdict(verify_triangular(build_complex(obj), w, args.tol))
     elif isinstance(w, Rank2Weight):
-        rep = verify_rank2(build_complex(obj), w, args.tol).to_dict()
+        rep = asdict(verify_rank2(build_complex(obj), w, args.tol))
     else:
-        rep = verify_graph_weight(_graph_of(obj, args.boundary), w, args.tol).to_dict()
+        rep = asdict(verify_graph_weight(_graph_of(obj, args.boundary), w, args.tol))
     out = {
         "command": "verify",
         "object_sha256": digest1,
@@ -323,7 +319,7 @@ def cmd_splice(args) -> int:
                 f"{fid}:{pos}": _scalar_json(v) for (fid, pos), v in sorted(spliced.eta_instances.items())
             },
         },
-        "verification": rep.to_dict(),
+        "verification": asdict(rep),
     }
     _emit(out, args.format)
     return EXIT_OK if rep.passed else EXIT_FAIL
@@ -367,8 +363,8 @@ def cmd_a2(args) -> int:
                 {
                     "lambda_plus": _scalar_json(p.plus.eta),
                     "lambda_minus": _scalar_json(p.minus.eta),
-                    "scale": f"{p.scale:.15g}",
-                    "psi_sample": f"{next(iter(p.psi_values.values())):.15g}",
+                    "scale": decimal(p.scale),
+                    "psi_sample": decimal(next(iter(p.psi_values.values()))),
                 }
                 for p in pairs
             ]

@@ -32,10 +32,10 @@ from .exact import (
     all_nonzero,
     as_tolerance,
     isolate_positive_roots,
+    parse_scalar,
     residual,
     scalar_abs_leq,
     scalar_eq,
-    scalar_to_float,
 )
 from .graphs import DirectedGraph
 from .solver import (
@@ -43,7 +43,6 @@ from .solver import (
     GraphWeight,
     WeightReport,
     boundary_matrix,
-    parse_scalar,
     pencil_determinant,
     positive_kernel,
     solve_special_weights,
@@ -111,7 +110,7 @@ def _residual_summary(sk_report: WeightReport, residual_maps: list[dict], tol: F
     """Pass flag, absolute float residual maps and largest residual of a
     skeleton report together with exact residual maps."""
     within = [scalar_abs_leq(r, tol) for m in residual_maps for r in m.values()]
-    floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in residual_maps]
+    floats = [{k: abs(float(r)) for k, r in m.items()} for m in residual_maps]
     maxr = max([sk_report.max_residual] + [x for m in floats for x in m.values()])
     return sk_report.passed and all(within), floats, maxr
 
@@ -126,18 +125,6 @@ class Rank2Report:
     faithful: bool
     special: bool
     mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "max_residual": self.max_residual,
-            "skeleton": self.skeleton.to_dict(),
-            "boundary_residuals": self.boundary_residuals,
-            "coupling_residuals": self.coupling_residuals,
-            "faithful": self.faithful,
-            "special": self.special,
-        }
 
 
 def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2Report:
@@ -246,7 +233,7 @@ def _eta_scalar(eta: AlgebraicScalar, companions=()):
     if not eta.is_rational:
         for v in companions:
             if isinstance(v, float) or (isinstance(v, FieldElement) and v.field.root is not eta):
-                return eta.to_float()
+                return float(eta)
     return eta.exact_value()
 
 
@@ -269,7 +256,7 @@ def _scale_determinant_float(graph: DirectedGraph, lam0: dict) -> Poly:
     n = len(graph.vertices)
     a = np.zeros((n, n))
     for e in graph.edges:
-        a[index[e.src], index[e.dst]] += scalar_to_float(lam0[e.id])
+        a[index[e.src], index[e.dst]] += float(lam0[e.id])
     d = np.diag([0.0 if graph.is_sink(v) else 1.0 for v in graph.vertices])
     pts = np.arange(n + 1, dtype=float)
     vals = np.array([np.linalg.det(c * a - d) for c in pts])
@@ -286,7 +273,7 @@ def _poly_positive_roots_numeric(p: Poly) -> list[float]:
         return []
     import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
 
-    coeffs = [scalar_to_float(cv) for cv in p.coeffs]
+    coeffs = [float(cv) for cv in p.coeffs]
     roots = np.roots(list(reversed(coeffs)))
     out = []
     for r in roots:
@@ -391,7 +378,7 @@ def _mixed_mul(cval, lam_val):
     """C times a lambda component; falls back to floats when the scale is
     only known numerically."""
     if isinstance(cval, float):
-        return cval * scalar_to_float(lam_val)
+        return cval * float(lam_val)
     return cval * lam_val
 
 
@@ -447,18 +434,6 @@ class TriangularReport:
     max_residual: float
     faithful: bool
     special: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "skeleton": self.skeleton.to_dict(),
-            "residuals_a": self.residuals_a,
-            "residuals_b": self.residuals_b,
-            "tightness_residuals": self.tightness_residuals,
-            "faithful": self.faithful,
-            "special": self.special,
-        }
 
 
 def _require_triangular(c: Oriented2Complex) -> None:

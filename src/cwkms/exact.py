@@ -2,8 +2,9 @@
 
 Everything here works over ``fractions.Fraction`` or over elements of a
 ``NumberField`` Q[x]/(m), each held as integer numerators over one positive
-integer denominator, so results are exact and deterministic.  Floating point
-enters only through the ``to_float`` conversions used at report time.
+integer denominator, so results are exact and deterministic.  Text is read
+by ``parse_scalar``; floating point enters only through ``float()`` of a
+scalar and the ``decimal`` it prints as, at report time.
 
 Roots are isolated in integers: square-free reduction by a primitive
 pseudo-remainder sequence, Descartes' rule of signs on integer Taylor shifts
@@ -37,14 +38,18 @@ from math import isqrt, lcm
 from .errors import InputError, ZeroDivisor, ZeroPolynomial
 
 
-def as_fraction(x) -> Fraction:
+def parse_scalar(x) -> Fraction:
+    """``x`` as an exact rational: an int, a Fraction, a finite float (read
+    exactly: floats are dyadic rationals) or a string such as "3/7" or
+    "1e-3".  Anything else, a bool included, is an InputError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact: floats are dyadic rationals
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise InputError(f"not a finite rational value: {x!r}")
 
 
 def as_tolerance(value) -> Fraction:
@@ -52,11 +57,23 @@ def as_tolerance(value) -> Fraction:
     be finite and within the float range, as reports print it as a float;
     a negative bound is accepted."""
     try:
-        tol = as_fraction(value)
+        tol = parse_scalar(value)
         float(tol)
-    except (OverflowError, ValueError):
+    except (InputError, OverflowError):
         raise InputError(f"bound must be a finite number a float can hold, got {value!r}") from None
     return tol
+
+
+def decimal(x) -> str:
+    """The decimal every report prints for a scalar: 15 significant digits
+    of ``float(x)``."""
+    return f"{float(x):.15g}"
+
+
+def format_scalar(x) -> str:
+    """An int or Fraction as "p" or "p/q", so golden files stay platform
+    independent; any other scalar as its ``decimal``."""
+    return str(x) if isinstance(x, (int, Fraction)) else decimal(x)
 
 
 # Width of every isolating interval a root is reported with.  A Descartes
@@ -396,23 +413,14 @@ class AlgebraicScalar:
         return self
 
     def to_float(self) -> float:
-        """The midpoint of an isolating interval of width at most
-        ``DECIMAL_WIDTH`` times min(1, |root|), so small roots keep their
-        significant digits."""
-        while not self.is_rational:
-            if self.lo < 0 < self.hi and self.poly.sign_at(Fraction(0)) == 0:
-                return 0.0  # the only root in the interval
-            target = DECIMAL_WIDTH * min(abs(self.lo), abs(self.hi), 1)
-            if self.hi - self.lo <= target:
-                return float((self.lo + self.hi) / 2)
-            self.refine(target or self.width() / 2)
-        return float(self.rational)
+        """The rational's float, or that of the generator of the root's
+        number field (``FieldElement.to_float``)."""
+        return float(self.rational) if self.is_rational else self.number_field().gen().to_float()
 
-    def __float__(self) -> float:
-        return self.to_float()
+    __float__ = to_float
 
     def equals_rational(self, r) -> bool:
-        r = as_fraction(r)
+        r = parse_scalar(r)
         if self.is_rational:
             return self.rational == r
         return False
@@ -506,7 +514,7 @@ class NumberField:
         self.modulus = Poly.from_ints(self.modulus_ints)
 
     def element(self, coeffs) -> "FieldElement":
-        cs = coeffs.coeffs if isinstance(coeffs, Poly) else [as_fraction(c) for c in coeffs]
+        cs = coeffs.coeffs if isinstance(coeffs, Poly) else [parse_scalar(c) for c in coeffs]
         return self._reduce(*_int_numerators(cs))
 
     def _reduce(self, nums: list[int], den: int) -> "FieldElement":
@@ -709,17 +717,13 @@ class FieldElement:
                 return (vlo + vhi) / (2 * s)
             root.refine(root.width() / 16)
 
+    __float__ = to_float
+
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 
     def __repr__(self):
         return f"FieldElement({self.rep})"
-
-
-def scalar_to_float(x) -> float:
-    if isinstance(x, (FieldElement, AlgebraicScalar)):
-        return x.to_float()
-    return float(x)
 
 
 def scalar_sign(x) -> int:
@@ -925,7 +929,7 @@ def kernel_basis_exact(rows) -> list[list]:
     in their own arithmetic."""
     if not rows:
         return []
-    m = [[as_fraction(x) if isinstance(x, (int, str)) else x for x in row] for row in rows]
+    m = [[parse_scalar(x) if isinstance(x, (int, str)) else x for x in row] for row in rows]
     if all(isinstance(x, Fraction) for row in m for x in row):
         a = [_int_numerators(row)[0] for row in m]
         # beyond 2**127 - 1 the exact elimination is cheaper than a modular one

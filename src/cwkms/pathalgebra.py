@@ -31,7 +31,7 @@ from fractions import Fraction
 from .complexes import Oriented2Complex, boundary_graph
 from .cwweights import Rank2Weight
 from .errors import GraphMismatch, InputError, MissingValue, NonpositiveWeight
-from .exact import as_tolerance, scalar_abs_leq, scalar_sign, scalar_to_float
+from .exact import as_tolerance, scalar_abs_leq, scalar_sign
 from .graphs import DirectedGraph
 from .solver import DEFAULT_TOL, GraphWeight
 
@@ -269,7 +269,7 @@ def _power_it(ratio, t):
             for _ in range(abs(n)):
                 out = out * ratio
             return out if n >= 0 else 1 / out
-    return cmath.exp(1j * tc * math.log(scalar_to_float(ratio)))
+    return cmath.exp(1j * tc * math.log(float(ratio)))
 
 
 @dataclass
@@ -399,7 +399,7 @@ def kms_check(psi, sample, tol=DEFAULT_TOL) -> KMSReport:
         d = abs(lhs - rhs)
         if d > maxd:
             maxd, worst = d, (x, y)
-    return KMSReport(scalar_abs_leq(maxd, tol), pairs, scalar_to_float(maxd), worst, float(tol))
+    return KMSReport(scalar_abs_leq(maxd, tol), pairs, float(maxd), worst, float(tol))
 
 
 @dataclass

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import InputError, MissingValue, ZeroDivisor
+from .errors import MissingValue, ZeroDivisor
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -53,8 +53,8 @@ from .exact import (
     scalar_abs_leq,
     scalar_eq,
     scalar_sign,
-    scalar_to_float,
 )
+from .exact import format_scalar, parse_scalar  # noqa: F401  re-exported: the sweep workload's set-up calls them here
 from .graphs import DirectedGraph
 
 DEFAULT_TOL = Fraction(1, 10**10)
@@ -101,17 +101,6 @@ class WeightReport:
     exact: bool
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "residuals": self.residuals,
-            "faithful": self.faithful,
-            "special": self.special,
-            "exact": self.exact,
-            "tol": self.tol,
-        }
-
 
 def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -> WeightReport:
     """Residual of the weight equation at every non-sink vertex."""
@@ -126,7 +115,7 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
         r = residual(w.g[v], [(w.lam[eid], w.g[graph.dst(eid)]) for eid in graph.out_edges(v)])
         exact = exact and not isinstance(r, float)
         passed = passed and scalar_abs_leq(r, tol)
-        residuals[v] = abs(scalar_to_float(r))
+        residuals[v] = abs(float(r))
     return WeightReport(
         passed=passed,
         residuals=residuals,
@@ -236,11 +225,6 @@ class KernelResult:
     def dim(self) -> int:
         return len(self.basis)
 
-    def positive_floats(self) -> list[float] | None:
-        if self.positive is None:
-            return None
-        return [scalar_to_float(x) for x in self.positive]
-
 
 def _is_float_matrix(rows) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
@@ -304,7 +288,7 @@ def _kernel_basis_svd(rows) -> list[list[float]]:
     """Numeric near-null-space basis; handles rectangular (stacked) systems."""
     import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
 
-    a = np.array([[scalar_to_float(x) for x in row] for row in rows], dtype=float)
+    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     ncols = a.shape[1]
     _, s, vt = np.linalg.svd(a)
     svals = list(s) + [0.0] * (ncols - len(s))
@@ -430,28 +414,3 @@ def solve_special_weights(graph: DirectedGraph) -> SpecialWeightReport:
         kr = positive_kernel(rows) if k == 0 else KernelResult("none", None, rows)
         families.append(SpecialWeightFamily(eta=root, kernel=kr, faithful=kr.status == "positive"))
     return SpecialWeightReport("ok", graph.vertices, det, families)
-
-
-# ---------------------------------------------------------------------------
-# Weight file parsing
-# ---------------------------------------------------------------------------
-
-def parse_scalar(text) -> Fraction:
-    """Parse a number, a decimal string or a rational string "p/q" to an
-    exact value."""
-    try:
-        return Fraction(text if isinstance(text, (int, float, Fraction)) else str(text))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        raise InputError(f"not a finite rational value: {text!r}") from None
-
-
-def format_scalar(x, digits: int = 15) -> str:
-    """Decimal string with fixed precision; exact rationals keep a "p/q"
-    form so golden files stay platform independent."""
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return f"{scalar_to_float(x):.{digits}g}"

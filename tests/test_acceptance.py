@@ -21,7 +21,7 @@ from cwkms.cwweights import (
     verify_rank2,
 )
 from cwkms.errors import AmbiguousSector
-from cwkms.exact import ROOT_WIDTH, Poly, scalar_to_float
+from cwkms.exact import ROOT_WIDTH, Poly
 from cwkms.fixtures import fig_b_double_amalgam_spec, fig_b_two_parameter_weight
 from cwkms.pathalgebra import (
     Rank2Monomial,
@@ -56,7 +56,7 @@ def test_criterion_01_boundary_graph_classification(figb_boundary):
     root = positive[0].eta
     ok &= root.width() <= ROOT_WIDTH
     eta = root.to_float()
-    kernel = positive[0].kernel.positive_floats()
+    kernel = [float(v) for v in positive[0].kernel.positive]
     expected = [eta**3, eta**2, eta, 1.0, eta**2, eta]
     # normalize on the maximal component (the d entry)
     kd = kernel[figb_boundary.graph.vertices.index("d")]
@@ -71,12 +71,12 @@ def test_criterion_02_standard_solve(figb):
     ok = len(fams) == 1
     fam = fams[0]
     eta = fam.eta.to_float()
-    gv = {v: scalar_to_float(fam.weight.g[v]) for v in figb.skeleton.vertices}
+    gv = {v: float(fam.weight.g[v]) for v in figb.skeleton.vertices}
     scale = gv["v"]  # expected g(v) = C
     expected = {"x": eta**2, "y": eta, "z": eta, "u": 1.0 / eta, "v": 1.0}
     ok &= max(abs(gv[k] / scale - expected[k]) for k in expected) <= 1e-10
     ok &= all(
-        abs(scalar_to_float(fam.weight.lambda_tilde[e]) - eta) <= 1e-10
+        abs(float(fam.weight.lambda_tilde[e]) - eta) <= 1e-10
         for e in figb.skeleton.edge_ids()
     )
     rep = verify_rank2(figb, fam.weight, RESIDUAL_TOL)

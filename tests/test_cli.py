@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cwkms.cli import main
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
-from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec, gamma_q2_presentation_spec
 
 from .test_golden import INPUTS, expected, golden_text
@@ -33,10 +32,10 @@ def figb_file(tmp_path):
 
 def weight_dict(w, digits=17):
     return {
-        "g": {k: f"{scalar_to_float(v):.{digits}g}" for k, v in w.g.items()},
-        "lambda_tilde": {k: f"{scalar_to_float(v):.{digits}g}" for k, v in w.lambda_tilde.items()},
-        "lambda": {k: f"{scalar_to_float(v):.{digits}g}" for k, v in w.lam.items()},
-        "eta": {k: f"{scalar_to_float(v):.{digits}g}" for k, v in w.eta.items()},
+        "g": {k: f"{float(v):.{digits}g}" for k, v in w.g.items()},
+        "lambda_tilde": {k: f"{float(v):.{digits}g}" for k, v in w.lambda_tilde.items()},
+        "lambda": {k: f"{float(v):.{digits}g}" for k, v in w.lam.items()},
+        "eta": {k: f"{float(v):.{digits}g}" for k, v in w.eta.items()},
         "mode": w.mode,
     }
 
@@ -201,6 +200,7 @@ def test_malformed_json(capsys, tmp_path):
 WEIGHT_FIELDS = ["g", "lambda", "lambda_tilde", "eta", "eta_a", "eta_b", "eta_instances", "mode", "tight"]
 GAMMA_SPEC = json.loads((INPUTS / "gamma.json").read_text())
 GAMMA_TRIANGULAR = json.loads((INPUTS / "gamma-triangular.json").read_text())
+GAMMA_GRAPH = json.loads((INPUTS / "gamma-graph.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -214,6 +214,7 @@ GAMMA_TRIANGULAR = json.loads((INPUTS / "gamma-triangular.json").read_text())
         ("verify", FIG_B_SPEC, {"g": {}, "lambda": {}, "lambda_tilde": {}, "mode": "loose"}, "unknown rank-2"),
         ("verify", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
         ("verify", GAMMA_SPEC, {**GAMMA_TRIANGULAR, "tight": "false"}, "field 'tight' must be a JSON boolean"),
+        ("verify", GAMMA_SPEC, {**GAMMA_GRAPH, "g": {"v": True}}, "not a finite rational value: True"),
         ("kms-check", FIG_B_SPEC, {"g": [1, 2], "lambda": {}}, "field 'g' must be a JSON object"),
         ("kms-check", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
         ("kms-check", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
@@ -226,6 +227,16 @@ def test_malformed_weight_and_object_files(capsys, tmp_path, command, obj, weigh
     code, out, err = run(capsys, command, str(tmp_path / "obj.json"), str(tmp_path / "w.json"))
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "mode, weight",
+    [("tight", "gamma-graph.json"), ("standard", "gamma-triangular.json"), ("rank2", "gamma-graph.json")],
+)
+def test_verify_mode_needs_a_rank2_weight(capsys, mode, weight):
+    code, out, err = run(capsys, "verify", "--mode", mode, str(INPUTS / "gamma.json"), str(INPUTS / weight))
+    assert (code, out) == (2, "")
+    assert "verify --mode takes a rank-2 weight" in err
 
 
 @pytest.mark.parametrize("command", [["solve-graph"], ["solve-graph", "--boundary"], ["boundary-graph"]])

@@ -16,7 +16,7 @@ from cwkms.cwweights import (
     verify_triangular,
 )
 from cwkms.errors import InputError, MissingValue, ModeError, NonTriangularFace
-from cwkms.exact import Poly, scalar_to_float
+from cwkms.exact import Poly
 from cwkms.fixtures import (
     fig_b_standard_weight,
     fig_b_tight_weight,
@@ -102,10 +102,10 @@ class TestSolve2dcw:
         assert fam.free_parameters == ["C"]
         expected = fig_b_standard_weight(ETA0, c=1.0)
         for v in figb.skeleton.vertices:
-            assert abs(scalar_to_float(fam.weight.g[v]) - expected.g[v]) < 1e-10
+            assert abs(float(fam.weight.g[v]) - expected.g[v]) < 1e-10
         for e in figb.skeleton.edge_ids():
-            assert abs(scalar_to_float(fam.weight.lambda_tilde[e]) - ETA0) < 1e-10
-            assert abs(scalar_to_float(fam.weight.lam[e]) - expected.lam[e]) < 1e-10
+            assert abs(float(fam.weight.lambda_tilde[e]) - ETA0) < 1e-10
+            assert abs(float(fam.weight.lam[e]) - expected.lam[e]) < 1e-10
         rep = verify_rank2(figb, fam.weight, TOL)
         assert rep.passed and rep.max_residual == 0.0  # exact arithmetic
 
@@ -115,10 +115,10 @@ class TestSolve2dcw:
         for k in range(1, 11):
             c = k / 3.0
             w = Rank2Weight(
-                g={key: c * scalar_to_float(v) for key, v in base.g.items()},
-                lambda_tilde={key: scalar_to_float(v) for key, v in base.lambda_tilde.items()},
-                lam={key: c * scalar_to_float(v) for key, v in base.lam.items()},
-                eta={key: scalar_to_float(v) for key, v in base.eta.items()},
+                g={key: c * float(v) for key, v in base.g.items()},
+                lambda_tilde={key: float(v) for key, v in base.lambda_tilde.items()},
+                lam={key: c * float(v) for key, v in base.lam.items()},
+                eta={key: float(v) for key, v in base.eta.items()},
                 mode=MODE_STANDARD,
             )
             assert verify_rank2(figb, w, TOL).passed
@@ -147,7 +147,7 @@ class TestSolve2dcw:
         fams = solve_2dcw(c, MODE_STANDARD)
         assert len(fams) == 1
         assert fams[0].weight.eta == {}
-        assert scalar_to_float(fams[0].weight.g["v"]) == 1.0
+        assert float(fams[0].weight.g["v"]) == 1.0
 
     def test_unknown_mode(self, figb):
         with pytest.raises(ModeError):

@@ -25,7 +25,6 @@ from cwkms.exact import (
     residual,
     scalar_abs_leq,
     scalar_sign,
-    scalar_to_float,
 )
 
 from .conftest import det_exact
@@ -571,7 +570,7 @@ def test_small_irrational_root_keeps_its_significant_digits():
     assert f"{root.to_float():.15g}" == "1.4142135623731e-07"
     x = isolate_positive_roots(Poly.from_ints([-2, 0, 10**14]))[0].number_field().gen()
     assert abs(x.to_float() / (2**0.5 * 1e-7) - 1) < 1e-14
-    assert f"{scalar_to_float(x):.15g}" == "1.4142135623731e-07"
+    assert f"{float(x):.15g}" == "1.4142135623731e-07"
 
 
 def test_decimal_of_one_over_sqrt2_rounds_its_15th_digit():
@@ -580,7 +579,24 @@ def test_decimal_of_one_over_sqrt2_rounds_its_15th_digit():
         root = isolate_positive_roots(poly)[0]
         assert f"{root.to_float():.15g}" == "0.707106781186548"
         x = isolate_positive_roots(poly)[0].exact_value()
-        assert f"{scalar_to_float(x):.15g}" == "0.707106781186548"
+        assert f"{float(x):.15g}" == "0.707106781186548"
+
+
+@pytest.mark.parametrize(
+    "ints",
+    [[-1, 0, 0, 1, 1], [-1, 0, 2], [-1, -1, 0, 2, 4]],
+    ids=["figB eta", "1/sqrt(2)", "gamma boundary"],
+)
+def test_float_of_a_root_is_its_generators_within_1e_16(ints):
+    """float() of a root and of its number field's generator is one decimal
+    path, and lands within relative 1e-16 of the root: here against the
+    midpoint of a copy refined to width 1e-40."""
+    root = isolate_positive_roots(Poly.from_ints(ints))[0]
+    fine = isolate_positive_roots(Poly.from_ints(ints))[0].refine(F(1, 10**40))
+    mid = (fine.lo + fine.hi) / 2
+    value = float(root)
+    assert value == float(root.number_field().gen())
+    assert abs(F(value) - mid) <= mid / 10**16
 
 
 def test_to_float_of_an_exact_zero_terminates():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.errors import GraphMismatch, NonpositiveWeight
-from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_standard_weight
 from cwkms import pathalgebra
 from cwkms.graphs import build_graph
@@ -283,7 +282,7 @@ def _reference_value(psi, a, b):
 
 
 def _as_complex(v) -> complex:
-    return v if isinstance(v, complex) else complex(scalar_to_float(v))
+    return v if isinstance(v, complex) else complex(float(v))
 
 
 def reference_kms(psi, sample, tol):

@@ -9,6 +9,7 @@ start from the same isolating interval of the root.
 """
 
 import copy
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,6 @@ from cwkms.exact import (
     isolate_positive_roots,
     scalar_abs_leq,
     scalar_sign,
-    scalar_to_float,
 )
 from cwkms.fixtures import FIG_B_SPEC, fig_b_standard_weight
 from cwkms.solver import DEFAULT_TOL
@@ -62,7 +62,7 @@ def _graph_report(graph, g, lam, tol):
         exact = exact and not isinstance(r, float)
         if not scalar_abs_leq(r, tol):
             passed = False
-        residuals[v] = abs(scalar_to_float(r))
+        residuals[v] = abs(float(r))
     vals = [lam[e.id] for e in graph.edges]
     return {
         "passed": passed,
@@ -86,7 +86,7 @@ def _boundary_residuals(c, lam, eta_of, step=1):
 
 def _summary(sk, maps, tol):
     within = [scalar_abs_leq(r, tol) for m in maps for r in m.values()]
-    floats = [{k: abs(scalar_to_float(r)) for k, r in m.items()} for m in maps]
+    floats = [{k: abs(float(r)) for k, r in m.items()} for m in maps]
     maxr = max([sk["max_residual"]] + [x for m in floats for x in m.values()])
     return sk["passed"] and all(within), floats, maxr
 
@@ -140,7 +140,7 @@ def _triangular_report(c, w, tol=DEFAULT_TOL):
 
 def _assert_same_rank2(c, w):
     want = _rank2_report(c, copy.deepcopy(w))
-    assert verify_rank2(c, copy.deepcopy(w)).to_dict() == want
+    assert asdict(verify_rank2(c, copy.deepcopy(w))) == want
     return want
 
 
@@ -229,9 +229,9 @@ def test_residual_vanishing_at_the_root_of_a_reducible_modulus(figb, figb_standa
 def test_gamma_triangular_weight(gamma_complex):
     w = solve_triangular_special(gamma_complex)[0].weight
     want = _triangular_report(gamma_complex, copy.deepcopy(w))
-    assert verify_triangular(gamma_complex, copy.deepcopy(w)).to_dict() == want
+    assert asdict(verify_triangular(gamma_complex, copy.deepcopy(w))) == want
     assert want["passed"] and want["faithful"] and want["special"]
     w.eta_a[next(iter(w.eta_a))] = F(1, 2)
     want = _triangular_report(gamma_complex, copy.deepcopy(w))
-    assert verify_triangular(gamma_complex, copy.deepcopy(w)).to_dict() == want
+    assert asdict(verify_triangular(gamma_complex, copy.deepcopy(w))) == want
     assert not want["passed"] and not want["special"]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import cwkms
 from cwkms.complexes import boundary_graph
 from cwkms.errors import MissingValue
-from cwkms.exact import Poly, isolate_positive_roots, kernel_basis_exact, scalar_sign, scalar_to_float
+from cwkms.exact import Poly, isolate_positive_roots, kernel_basis_exact, scalar_sign
 from cwkms.graphs import build_graph
 from cwkms.solver import (
     GraphWeight,
@@ -312,7 +312,7 @@ class TestPositiveKernel:
         res = positive_kernel(rows)
         assert res.dim == 2
         assert res.status == "positive"
-        assert all(v > 0 for v in res.positive_floats())
+        assert all(v > 0 for v in map(float, res.positive))
 
 
 class TestSolvePipeline:
@@ -328,7 +328,7 @@ class TestSolvePipeline:
             rep = solve_special_weights(graph)
             for fam in rep.faithful_families():
                 lam_f = fam.eta.to_float()
-                g = dict(zip(graph.vertices, fam.kernel.positive_floats()))
+                g = dict(zip(graph.vertices, [float(v) for v in fam.kernel.positive]))
                 w = GraphWeight(g=g, lam={e.id: lam_f for e in graph.edges})
                 out = verify_graph_weight(graph, w, F(1, 10**10))
                 assert out.passed
@@ -430,7 +430,7 @@ def _assert_positive_kernel_vector(rows, vec):
     reducible modulus) is checked to rounding."""
     assert all(scalar_sign(x) > 0 for x in vec)
     if any(isinstance(x, float) for x in vec):
-        a = np.array([[scalar_to_float(x) for x in row] for row in rows])
+        a = np.array([[float(x) for x in row] for row in rows])
         assert np.allclose(a @ np.array(vec), 0, atol=1e-8)
     else:
         assert all(sum((a * x for a, x in zip(row, vec)), 0 * vec[0]) == 0 for row in rows)
@@ -526,7 +526,7 @@ class TestPerronFrobenius:
             top = int(np.argmax(vals.real))
             assert abs(fam.eta.to_float() - 1 / vals[top].real) < 1e-9
             perron = np.abs(vecs[:, top].real)
-            got = np.array(fam.kernel.positive_floats())
+            got = np.array([float(v) for v in fam.kernel.positive])
             assert np.allclose(got / got.max(), perron / perron.max(), atol=1e-8)
 
     def test_eigenvector_matches_sympy(self):

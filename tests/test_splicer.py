@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cwkms.cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight, solve_2dcw, verify_rank2
 from cwkms.errors import BadEmbedding, IncompatibleAttachment, ModeError, NotFaithful
-from cwkms.exact import scalar_to_float
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec
 from cwkms.graphs import build_graph, graph_to_dict
 from cwkms.solver import GraphWeight, verify_graph_weight
@@ -244,7 +243,7 @@ class TestCWSplice:
         spliced = splice_cw_weights(am, {"p1": w, "p2": w, "p3": w})
         rep = verify_rank2(am.foundation, spliced)
         assert rep.passed and rep.max_residual == 0.0
-        assert scalar_to_float(spliced.g["v"]) == pytest.approx(3 * scalar_to_float(w.g["v"]))
+        assert float(spliced.g["v"]) == pytest.approx(3 * float(w.g["v"]))
 
     def test_eta_instances_shape(self, figb):
         am = build_amalgam(fig_b_double_amalgam_spec())
@@ -252,9 +251,9 @@ class TestCWSplice:
         spliced = splice_cw_weights(am, {"p1": w, "p2": w})
         # the face coefficient is halved exactly on instances feeding into
         # the shared edge d, and untouched elsewhere
-        eta0 = scalar_to_float(w.eta["s1"])
+        eta0 = float(w.eta["s1"])
         for (fid, pos), val in spliced.eta_instances.items():
-            fval = scalar_to_float(val)
+            fval = float(val)
             face = next(f for f in am.foundation.faces if f.id == fid)
             nxt = face.boundary[(pos + 1) % len(face.boundary)]
             if nxt == "d":
