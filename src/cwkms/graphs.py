@@ -126,8 +126,9 @@ def spec_list(value, what: str) -> list:
 
 
 def spec_id(value, what: str):
-    """An id names a vertex, edge, face or point: a string or an integer."""
-    if not isinstance(value, (str, int)):
+    """An id names a vertex, edge, face or point: a string or an integer,
+    not a bool."""
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise InputError(f"{what}: {value!r} is not a string or integer id")
     return value
 

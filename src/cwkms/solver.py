@@ -18,7 +18,7 @@ root holds a strictly positive vector.  Without sinks the determinant is
 the reversed characteristic polynomial (-1)**n * lambda**n * chi_A(1/lambda),
 whose roots are the reciprocals 1/mu of the non-zero eigenvalues mu of A;
 ``pencil_determinant`` reads it off ``exact.charpoly``, a Hessenberg
-reduction modulo one prime.
+reduction, modulo one prime for a rational matrix.
 
 A sink makes the determinant vanish identically, so otherwise M is
 lambda*A - I with A >= 0 and a positive kernel vector is a positive
@@ -46,7 +46,6 @@ from .exact import (
     all_nonzero,
     as_tolerance,
     charpoly,
-    det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
     residual,
@@ -163,30 +162,19 @@ def pencil_determinant(graph: DirectedGraph, lam) -> Poly:
     ``boundary_matrix(graph, lam)``.
 
     A sink row is zero, so any sink gives the zero polynomial.  Otherwise
-    I_r = I, and for rational W, with D the lcm of its denominators and
-    A = D*W an integer matrix,
+    I_r = I and
 
-        det(x*W - I) = (-1)**n * (x/D)**n * chi_A(D/x),
+        det(x*W - I) = (-1)**n * x**n * chi_W(1/x),
 
-    so the coefficient of x**k is (-1)**n * a_(n-k) / D**k, where a_j is the
-    coefficient of t**j in chi_A(t) = det(t*I - A) (``charpoly``).
-    Number-field rows keep their scalar type through ``det_bareiss_poly``,
-    which also takes rational rows whose coefficient bound is beyond
-    ``charpoly``'s prime table."""
+    so the coefficient of x**k is (-1)**n * c_(n-k), where c_j is the
+    coefficient of t**j in chi_W(t) = det(t*I - W) (``charpoly``), in the
+    scalar type of W."""
     rows = boundary_matrix(graph, lam)
     if any(graph.is_sink(v) for v in graph.vertices):
         return Poly([])
-    w = [[x + 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    if all(isinstance(x, Fraction) for row in w for x in row):
-        d = lcm(*(x.denominator for row in w for x in row))
-        chi = charpoly([[x.numerator * (d // x.denominator) for x in row] for row in w])
-        if chi is not None:
-            n = len(w)
-            sign = -1 if n % 2 else 1
-            return Poly([Fraction(sign * chi[n - k], d**k) for k in range(n + 1)])
-    zero = rows[0][0] * 0
-    pencil = [[Poly([zero - 1 if i == j else zero, x]) for j, x in enumerate(row)] for i, row in enumerate(w)]
-    return det_bareiss_poly(pencil)
+    n = len(rows)
+    chi = charpoly([[x + 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    return Poly([-chi[n - k] if n % 2 else chi[n - k] for k in range(n + 1)])
 
 
 def det_polynomial(graph: DirectedGraph) -> Poly:

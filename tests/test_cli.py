@@ -389,6 +389,12 @@ def _run_spec(tmp_path, command: str, spec) -> tuple[int, str, str]:
         ("splice", {"pieces": [1]}, "pieces must be a JSON object"),
         ("solve-graph", {"vertices": "uv"}, "vertices must be a JSON list"),
         ("solve-graph", {"vertices": [["u"]]}, "vertices: ['u'] is not a string or integer id"),
+        (
+            "solve-graph",
+            {"vertices": [True, "b"], "edges": [
+                {"id": "e", "src": True, "dst": "b"}, {"id": "f", "src": "b", "dst": 1}]},
+            "vertices: True is not a string or integer id",
+        ),
         ("solve-graph", {"vertices": ["u"], "edges": [{"id": "e", "src": {}, "dst": "u"}]}, "edge record: {}"),
         ("solve-graph", {"vertices": ["u"], "labels": [1]}, "labels must be a JSON object"),
         ("boundary-graph", {**FIG_B_SPEC, "faces": 3}, "faces must be a JSON list"),

@@ -19,7 +19,6 @@ from cwkms.exact import (
     Poly,
     as_tolerance,
     charpoly,
-    det_bareiss_poly,
     isolate_positive_roots,
     kernel_basis_exact,
     residual,
@@ -36,13 +35,6 @@ def test_poly_divmod_roundtrip():
     q, r = a.divmod(b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-def test_poly_exact_div_raises_on_remainder():
-    a = Poly.from_ints([1, 1])
-    b = Poly.from_ints([1, 2])
-    with pytest.raises(ArithmeticError):
-        a.exact_div(b)
 
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
@@ -401,26 +393,20 @@ class TestNumberField:
 
 
 class TestDeterminants:
-    def test_bareiss_matches_numeric(self):
-        import random
-
-        import numpy as np
-
+    def test_charpoly_constant_term_is_the_determinant(self):
+        """det(A) = (-1)**n * chi_A(0), against Gaussian elimination."""
         rng = random.Random(11)
         for _ in range(10):
             n = rng.randint(1, 5)
-            rows = [[Poly.from_ints([rng.randint(-4, 4)]) for _ in range(n)] for _ in range(n)]
-            det = det_bareiss_poly(rows)
-            a = np.array([[float(rows[i][j](F(0))) for j in range(n)] for i in range(n)])
-            expected = np.linalg.det(a)
-            got = float(det(F(0))) if not det.is_zero() else 0.0
-            assert abs(got - expected) < 1e-6 * max(1.0, abs(expected))
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            assert (-1) ** n * charpoly(a)[0] == det_exact(a)
 
-    def test_bareiss_polynomial_entries(self):
-        x = Poly.x()
-        one = Poly.from_ints([1])
-        rows = [[x, one], [one, x]]
-        assert det_bareiss_poly(rows) == Poly.from_ints([-1, 0, 1])
+    def test_charpoly_of_a_swap(self):
+        """det([[t, 1], [1, t]]) = t**2 - 1, with sympy's charpoly."""
+        sympy = pytest.importorskip("sympy")
+        a = [[0, -1], [-1, 0]]
+        want = [int(c) for c in sympy.Matrix(a).charpoly().all_coeffs()[::-1]]
+        assert charpoly(a) == want == [-1, 0, 1]
 
     def test_det_exact_singular(self):
         assert det_exact([[F(1), F(2)], [F(2), F(4)]]) == 0
@@ -429,7 +415,10 @@ class TestDeterminants:
     @given(st.data())
     def test_integer_pencil_matches_sympy(self, data):
         """det(A0 + x*A1) of small integer pencils, with negative entries,
-        multiplicities and zero (sink) rows, against sympy."""
+        multiplicities and zero (sink) rows, against sympy.  ``charpoly``
+        computes it as (-1)**n * chi(0) over the field Q[x]/(x**(n+1) - 2)
+        (irreducible by Eisenstein), where the determinant, of degree at
+        most n, is its own representative."""
         sympy = pytest.importorskip("sympy")
         n = data.draw(st.integers(1, 7))
         entry = st.integers(-3, 3)
@@ -442,21 +431,23 @@ class TestDeterminants:
         x = sympy.Symbol("x")
         m = sympy.Matrix(n, n, lambda i, j: sum(int(c) * x**k for k, c in enumerate(rows[i][j].coeffs)))
         want = sympy.Poly(m.det(method="domain-ge").expand(), x).all_coeffs()[::-1]
-        assert det_bareiss_poly(rows) == Poly.from_ints(want)
+        modulus = Poly.from_ints([-2] + [0] * n + [1])
+        k = NumberField(modulus, isolate_positive_roots(modulus)[0])
+        det = (-1) ** n * charpoly([[k.element(e) for e in row] for row in rows])[0]
+        assert det.rep == Poly.from_ints(want)
 
     def test_bound_beyond_prime_table_keeps_exact_result(self, monkeypatch):
         """With 2**61 - 1 as the only prime, a weight near 2**70 puts the
-        coefficient bound beyond the table: ``charpoly`` gives None and the
-        determinant still comes out exact, by Bareiss elimination."""
+        coefficient bound beyond the table: the characteristic polynomial
+        and the determinant still come out exact, reduced over Q (p = None)."""
         import cwkms.exact
-        import cwkms.solver
         from cwkms.graphs import build_graph
         from cwkms.solver import pencil_determinant
 
         monkeypatch.setattr(cwkms.exact, "_MERSENNE_EXPONENTS", (61,))
-        calls = []
-        bareiss = cwkms.solver.det_bareiss_poly
-        monkeypatch.setattr(cwkms.solver, "det_bareiss_poly", lambda rows: calls.append(rows) or bareiss(rows))
+        primes = []
+        body = cwkms.exact._hessenberg_charpoly
+        monkeypatch.setattr(cwkms.exact, "_hessenberg_charpoly", lambda h, p=None: primes.append(p) or body(h, p))
         big = 2**70 + 3
         graph = build_graph({
             "vertices": ["a", "b"],
@@ -466,10 +457,10 @@ class TestDeterminants:
             ],
         })
         lam = {"aa": F(big), "ab": F(1), "bb": F(1, 2)}
-        assert charpoly([[big, 1], [0, 1]]) is None
+        assert charpoly([[big, 1], [0, 1]]) == [big, -big - 1, 1]
         # det [[big x - 1, x], [0, x/2 - 1]]
         assert pencil_determinant(graph, lam) == Poly([F(1), F(-big - F(1, 2)), F(big, 2)])
-        assert len(calls) == 1
+        assert primes == [None, None]
 
     def test_non_integer_coefficients_keep_bareiss_results(self, figb, figb_boundary):
         """Scale determinants on the figB skeleton with number-field and with
@@ -1070,6 +1061,59 @@ def test_field_inverse_raises_zero_divisor_exactly_on_common_factors():
     unit = x * x * 2 + x - 1  # coprime to both factors
     assert _gcd_degree(unit.rep, k.modulus) == 0
     assert unit * unit.inverse() == 1
+
+
+def _sympy_charpoly(sympy, rows, modulus=None):
+    """sympy's charpoly of a matrix of Polys, as Polys over Q: over Q[y], each
+    coefficient reduced modulo ``modulus`` when one is given."""
+    y, t = sympy.symbols("y t")
+    m = sympy.Matrix(len(rows), len(rows), lambda i, j: sum(
+        sympy.Rational(c.numerator, c.denominator) * y**k for k, c in enumerate(rows[i][j].coeffs)))
+    out = []
+    for c in m.charpoly(t).all_coeffs()[::-1]:
+        if modulus is not None:
+            c = sympy.rem(sympy.expand(c), sum(int(v) * y**k for k, v in enumerate(modulus.coeffs)), y)
+        c = sympy.Poly(c, y).all_coeffs()[::-1] if c != 0 else []
+        out.append(Poly([F(int(v.p), int(v.q)) for v in c]))
+    return out
+
+
+sparse_fractions = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(sparse_fractions, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=40, deadline=None)
+def test_charpoly_of_fraction_matrices_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    want = _sympy_charpoly(sympy, [[Poly([x]) for x in row] for row in a])
+    got = charpoly(a)
+    assert all(type(c) is F for c in got)
+    assert [Poly([c]) for c in got] == want
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
+    st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 3)), max_size=4).map(Poly),
+    min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=20, deadline=None)
+def test_charpoly_over_q_eta_matches_sympy(rows):
+    """Matrices over Q(eta), eta the positive root of x**4 + x**3 - 1,
+    reduced in the field's own arithmetic (p = None)."""
+    sympy = pytest.importorskip("sympy")
+    k = _reference_field("Q(eta)")
+    got = charpoly([[k.element(e) for e in row] for row in rows])
+    assert all(isinstance(c, FieldElement) for c in got)
+    assert [c.rep for c in got] == _sympy_charpoly(sympy, rows, k.modulus)
+
+
+def test_charpoly_pivot_on_a_zero_divisor_raises():
+    """Over (2x**2 - 1)(2x**2 + x + 1) at 1/sqrt(2), the first Hessenberg
+    pivot is the zero divisor 2x**2 - 1, which has no inverse."""
+    k = _reference_field("gamma boundary")
+    x = k.gen()
+    zero = k.zero()
+    with pytest.raises(ZeroDivisor):
+        charpoly([[zero, zero, zero], [x * x * 2 - 1, zero, zero], [k.one(), zero, zero]])
 
 
 @given(st.sampled_from(sorted(REFERENCE_MODULI)), small_fractions, st.builds(F, st.integers(-4, 4), st.integers(1, 3)))

@@ -86,6 +86,48 @@ def test_golden(case):
     assert run_case(case) == expected(case)
 
 
+def test_every_determinant_takes_the_hessenberg_body(monkeypatch):
+    """Across the golden runs, each determinant of a graph without sinks
+    (``pencil_determinant``) makes one ``_hessenberg_charpoly`` call and the
+    float scale determinant is never reached.  Only figB's tight lift, whose
+    scale determinant has number-field entries, reduces in its own
+    arithmetic (p = None); every other determinant is reduced modulo a prime."""
+    import cwkms.cwweights
+    import cwkms.exact
+    import cwkms.solver
+
+    primes, dets = [], []
+    body, pencil = cwkms.exact._hessenberg_charpoly, cwkms.solver.pencil_determinant
+
+    def spy_body(h, p=None):
+        primes.append(p)
+        return body(h, p)
+
+    def spy_pencil(graph, lam):
+        if not any(graph.is_sink(v) for v in graph.vertices):
+            dets.append(graph)
+        return pencil(graph, lam)
+
+    def no_float_determinant(graph, lam0):
+        raise AssertionError("float scale determinant reached")
+
+    monkeypatch.setattr(cwkms.exact, "_hessenberg_charpoly", spy_body)
+    monkeypatch.setattr(cwkms.cwweights, "_scale_determinant_float", no_float_determinant)
+    for module in (cwkms.solver, cwkms.cwweights):
+        monkeypatch.setattr(module, "pencil_determinant", spy_pencil)
+    over_q, total = set(), 0
+    for case in sorted(CASES):
+        primes.clear()
+        dets.clear()
+        assert run_case(case) == expected(case)
+        assert len(primes) == len(dets), case
+        total += len(dets)
+        if None in primes:
+            over_q.add(case)
+    assert over_q == {"solve-cw-tight-figB"}
+    assert total > len(over_q)
+
+
 def _subcommands(parser) -> set[tuple[str, ...]]:
     """Every subcommand path of the parser, e.g. ("verify",), ("a2", "complex")."""
     paths: set[tuple[str, ...]] = set()

@@ -163,23 +163,19 @@ class TestBoundaryMatrix:
 
     def test_det_polynomial_takes_the_modular_path(self, monkeypatch, figb_boundary):
         """The integer determinant is the reversed characteristic polynomial
-        from ``charpoly``; Bareiss elimination is not reached."""
-        import cwkms.solver
+        from ``charpoly``, reduced modulo 2**61 - 1 and not over Q."""
+        import cwkms.exact
 
-        sizes = []
-        modular = cwkms.solver.charpoly
+        calls = []
+        body = cwkms.exact._hessenberg_charpoly
 
-        def spy(a):
-            sizes.append(len(a))
-            return modular(a)
+        def spy(h, p=None):
+            calls.append((len(h), p))
+            return body(h, p)
 
-        def bareiss(rows):
-            raise AssertionError("det_bareiss_poly reached")
-
-        monkeypatch.setattr(cwkms.solver, "charpoly", spy)
-        monkeypatch.setattr(cwkms.solver, "det_bareiss_poly", bareiss)
+        monkeypatch.setattr(cwkms.exact, "_hessenberg_charpoly", spy)
         det = det_polynomial(figb_boundary.graph)
-        assert sizes == [6]
+        assert calls == [(6, 2**61 - 1)]
         assert det in (Poly.from_ints([1, 0, 0, -1, -1]), Poly.from_ints([-1, 0, 0, 1, 1]))
         assert all(type(c) is F for c in det.coeffs)
 
@@ -207,10 +203,10 @@ class TestBoundaryMatrix:
         assert det == Poly.from_ints([int(c) for c in coeffs])
         assert all(type(c) is F for c in det.coeffs)
 
-    def test_rational_pencil_matches_bareiss(self):
-        """A non-integral rational weight goes through ``charpoly`` on D*W
-        and equals the Bareiss determinant of the pencil."""
-        from cwkms.exact import det_bareiss_poly
+    def test_rational_pencil_matches_det_exact(self):
+        """A non-integral rational weight goes through ``charpoly`` on D*W;
+        det(x*W - I), of degree at most n, equals Gaussian elimination of
+        x*W - I at the n + 1 points x = 0, ..., n."""
         from cwkms.solver import pencil_determinant
 
         rng = random.Random(14)
@@ -219,10 +215,12 @@ class TestBoundaryMatrix:
             lam = {e.id: F(rng.randint(-6, 6), rng.randint(1, 9)) for e in g.edges}
             for value in (lam, F(rng.randint(1, 9), rng.randint(2, 9))):
                 rows = boundary_matrix(g, value)
-                pencil = [[Poly([F(-1) if i == j else F(0), x + (i == j)]) for j, x in enumerate(row)]
-                          for i, row in enumerate(rows)]
+                n = len(rows)
                 det = pencil_determinant(g, value)
-                assert det == det_bareiss_poly(pencil)
+                assert det.degree <= n
+                for x in range(n + 1):
+                    pencil = [[x * (v + (i == j)) - (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+                    assert det(F(x)) == det_exact(pencil)
                 assert all(type(c) is F for c in det.coeffs)
 
     def test_disjoint_cycles_and_a_swapped_pivot(self):
