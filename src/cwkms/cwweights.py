@@ -12,10 +12,9 @@ Solvers run top down: classify special (constant eta) weights on the
 boundary graph first, then lift each family to the skeleton.  The standard
 lift is explicit, g(v) = sum of lam over the bundle at v; the tight lift
 introduces a scale parameter on lam and classifies it through a second
-determinant polynomial.  Its two float fallbacks, the scale determinant of
-float lam values and the numeric roots of one with number-field
-coefficients, import numpy themselves, so importing this module does not
-load it.
+determinant polynomial.  Its roots are exact: a scale determinant over the
+number field Q(eta) of the boundary root is solved through its norm, and
+the family then lies in the field Q(C) of the scale root, eta included.
 """
 
 from __future__ import annotations
@@ -24,18 +23,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import Oriented2Complex, boundary_graph, predecessor_graph
-from .errors import InputError, MissingValue, ModeError, NonTriangularFace
+from .errors import CWKMSError, InputError, MissingValue, ModeError, NonTriangularFace, ZeroDivisor
 from .exact import (
     AlgebraicScalar,
     FieldElement,
     Poly,
     all_nonzero,
     as_tolerance,
+    decimal,
     isolate_positive_roots,
     parse_scalar,
+    regular_matrix,
     residual,
     scalar_abs_leq,
     scalar_eq,
+    scalar_sign,
 )
 from .graphs import DirectedGraph
 from .solver import (
@@ -43,6 +45,7 @@ from .solver import (
     GraphWeight,
     WeightReport,
     boundary_matrix,
+    matrix_pencil,
     pencil_determinant,
     positive_kernel,
     solve_special_weights,
@@ -227,123 +230,94 @@ def _lift_standard(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> Ran
 
 
 def _eta_scalar(eta: AlgebraicScalar, companions=()):
-    """Scalar for a root that can mix arithmetically with the given
-    companion values: the root's exact value, or its float beside a float
-    companion or an element of another number field."""
-    if not eta.is_rational:
-        for v in companions:
-            if isinstance(v, float) or (isinstance(v, FieldElement) and v.field.root is not eta):
-                return float(eta)
+    """The root's exact value, or its float beside a float companion."""
+    if not eta.is_rational and any(isinstance(v, float) for v in companions):
+        return float(eta)
     return eta.exact_value()
 
 
 def scale_determinant(graph: DirectedGraph, lam0: dict) -> Poly:
-    """Determinant of the skeleton system g = C * (weighted adjacency) g as a
-    polynomial in the scale C; entries C*sum(lam0) - identity on non-sinks.
-
-    Exact lambda values go through ``pencil_determinant``; float values
-    (possible after a numeric kernel fallback) are handled by evaluating the
-    determinant at sample points and interpolating."""
-    if any(isinstance(v, float) for v in lam0.values()):
-        return _scale_determinant_float(graph, lam0)
-    return pencil_determinant(graph, lam0)
-
-
-def _scale_determinant_float(graph: DirectedGraph, lam0: dict) -> Poly:
-    import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
-
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    a = np.zeros((n, n))
-    for e in graph.edges:
-        a[index[e.src], index[e.dst]] += float(lam0[e.id])
-    d = np.diag([0.0 if graph.is_sink(v) else 1.0 for v in graph.vertices])
-    pts = np.arange(n + 1, dtype=float)
-    vals = np.array([np.linalg.det(c * a - d) for c in pts])
-    coeffs = np.polynomial.polynomial.polyfit(pts, vals, n)
-    cleaned = [float(cv) if abs(cv) > 1e-12 else 0.0 for cv in coeffs]
-    return Poly(cleaned)
-
-
-def _poly_positive_roots_numeric(p: Poly) -> list[float]:
-    """Positive real roots of a polynomial with number-field or float
-    coefficients, found numerically and polished by bisection on the float
-    evaluation."""
-    if p.degree < 1:
-        return []
-    import numpy as np  # local: numpy is most of the import cost, and only this fallback needs it
-
-    coeffs = [float(cv) for cv in p.coeffs]
-    roots = np.roots(list(reversed(coeffs)))
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 and r.real > 1e-12:
-            out.append(_polish_root(coeffs, float(r.real)))
-    out.sort()
-    dedup: list[float] = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > 1e-9 * max(1.0, abs(r)):
-            dedup.append(r)
-    return dedup
-
-
-def _polish_root(coeffs: list[float], x: float) -> float:
-    def f(t: float) -> float:
-        acc = 0.0
-        for cv in reversed(coeffs):
-            acc = acc * t + cv
-        return acc
-
-    # bracket around x, then bisect
-    step = max(abs(x), 1.0) * 1e-6
-    lo, hi = x - step, x + step
-    tries = 0
-    while f(lo) * f(hi) > 0 and tries < 60:
-        step *= 2.0
-        lo, hi = x - step, x + step
-        tries += 1
-    if f(lo) * f(hi) > 0:
-        return x
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    """Determinant of the skeleton system g = C * (lam0-weighted adjacency) g
+    as a polynomial in the scale C (``pencil_determinant``); float values,
+    left by the SVD kernel fallback, are read exactly."""
+    return pencil_determinant(graph, {k: parse_scalar(v) if isinstance(v, float) else v for k, v in lam0.items()})
 
 
 def _solve_scale(sk: DirectedGraph, lam0: dict) -> tuple[Poly, list[tuple]]:
     """Scale the boundary solution lam0 onto the skeleton: C*lam0 satisfies
     the skeleton weight equation for a positive g exactly at the positive
     roots C of the scale determinant with a positive kernel there.  Returns
-    the determinant and one (root, C*lam0, g) per such root.
+    the determinant and one (root, C*lam0, g, lift) per such root; ``lift``
+    maps lam0's scalars, the boundary root's included, into the root's field.
 
-    A determinant that does not vanish identically leaves no sinks, so the
-    matrix is C*L - I with L >= 0 the lam0-weighted adjacency, and by
-    Perron-Frobenius only its smallest positive root C = 1/rho(L) can have
-    a positive kernel vector."""
+    Without sinks the matrix is C*L - I with L >= 0 the lam0-weighted
+    adjacency, and by Perron-Frobenius only its smallest positive root
+    C = 1/rho(L) can have a positive kernel vector; over the number field
+    of lam0 that root is found through the norm (``_field_scale_root``).
+    Float values (the SVD kernel fallback's) are read exactly, the boundary
+    root as its float: the family is the exact lift of the rounded data."""
+    rounded = any(isinstance(v, float) for v in lam0.values())
+    lift = (lambda x: parse_scalar(float(x))) if rounded else (lambda x: x)
     det = scale_determinant(sk, lam0)
     if det.is_zero():
-        scale_roots: list = []
-    elif all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
-        scale_roots = isolate_positive_roots(det)
+        return det, []
+    if all(isinstance(cv, (int, Fraction)) for cv in det.coeffs):
+        root = next(iter(isolate_positive_roots(det)), None)
     else:
-        scale_roots = _poly_positive_roots_numeric(det)
-    solutions = []
-    for root in scale_roots[:1]:
-        cval = _eta_scalar(root, lam0.values()) if isinstance(root, AlgebraicScalar) else root
-        lam_scaled = {eid: _mixed_mul(cval, lam0[eid]) for eid in lam0}
-        kr = positive_kernel(boundary_matrix(sk, lam_scaled))
-        if kr.status == "positive":
-            solutions.append((root, lam_scaled, _vector_as_map(sk.vertices, kr.positive)))
-    return det, solutions
+        root, e = _field_scale_root(sk, lam0, det)
+        lift = lambda x: x.rep(e)
+    if root is None:
+        return det, []
+    cval = root.exact_value()
+    lam_scaled = {eid: cval * lift(v) for eid, v in lam0.items()}
+    kr = positive_kernel(boundary_matrix(sk, lam_scaled))
+    if kr.status != "positive":
+        return det, []
+    return det, [(root, lam_scaled, _vector_as_map(sk.vertices, kr.positive), lift)]
+
+
+def _field_scale_root(sk: DirectedGraph, lam0: dict, det: Poly) -> tuple:
+    """The smallest positive root c of det under the real root eta of the
+    number field K of its coefficients, and eta's image e in Q(c); (None,
+    None) if there is none.  The roots of det are among those of its norm,
+    the pencil of the skeleton rows' rational block matrix
+    (``regular_matrix``), tried in increasing order.  A rational c must have
+    det(c) = 0.  An irrational c is rejected when an interval enclosure of
+    det over the intervals of c and eta excludes 0; otherwise eta is a root
+    of g = gcd(m(y), det(c, y)) over Q(c), m the modulus of K, exactly when
+    g changes sign across eta's isolating interval, and then g = y - e.  A g
+    of higher degree and a zero divisor of Q(c) raise: they need a split."""
+    field = next(cv.field for cv in det.coeffs if isinstance(cv, FieldElement))
+    # det(C, y) = sum_i q[i](C) * y**i with rational q[i]
+    reps = [list(cv.rep.coeffs) + [Fraction(0)] * (field.modulus.degree - len(cv.rep.coeffs)) for cv in det.coeffs]
+    q = [Poly(col) for col in zip(*reps)]
+    for c in isolate_positive_roots(matrix_pencil(regular_matrix(boundary_matrix(sk, lam0)))):
+        if c.is_rational:
+            if scalar_sign(det(c.rational)) == 0:
+                return c, field.gen()
+        elif not _excludes_zero(q, c, field.root):
+            try:
+                g, b = field.modulus, Poly([qi(c.exact_value()) for qi in q])
+                while not b.is_zero():
+                    g, b = b, g.divmod(b)[1]
+                if scalar_sign(g(field.root.lo)) * scalar_sign(g(field.root.hi)) < 0:
+                    if g.degree > 1:
+                        raise CWKMSError(f"eta is a root of a gcd of degree {g.degree} over Q(C) at C = {decimal(c)}")
+                    return c, -g.coeffs[0] / g.coeffs[1]
+            except ZeroDivisor as exc:
+                raise ZeroDivisor(f"zero divisor in Q(C) at C = {decimal(c)}: {exc}") from exc
+    return None, None
+
+
+def _excludes_zero(q: list[Poly], c: AlgebraicScalar, eta: AlgebraicScalar) -> bool:
+    """Whether interval arithmetic on the intervals of c and eta keeps sum_i q[i](c) * eta**i off 0."""
+    ylo, yhi = eta.bounds()
+    lo = hi = Fraction(0)
+    for qi in reversed(q):
+        a, b = qi.interval_eval(*c.bounds())
+        ends = (lo * ylo, lo * yhi, hi * ylo, hi * yhi)
+        lo, hi = min(ends) + a, max(ends) + b
+    return lo > 0 or hi < 0
 
 
 def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> list[Rank2Family]:
@@ -352,8 +326,8 @@ def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> list[R
     scale determinant."""
     det, solutions = _solve_scale(c.skeleton, lam0)
     out: list[Rank2Family] = []
-    for root, lam_scaled, g in solutions:
-        etaval = _eta_scalar(eta, lam_scaled.values())
+    for root, lam_scaled, g, lift in solutions:
+        etaval = lift(eta.exact_value())
         w = Rank2Weight(
             g=g,
             lambda_tilde=dict(lam_scaled),
@@ -372,14 +346,6 @@ def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> list[R
             )
         )
     return out
-
-
-def _mixed_mul(cval, lam_val):
-    """C times a lambda component; falls back to floats when the scale is
-    only known numerically."""
-    if isinstance(cval, float):
-        return cval * float(lam_val)
-    return cval * lam_val
 
 
 def _solve_no_faces(c: Oriented2Complex, mode: str) -> list[Rank2Family]:
@@ -505,8 +471,8 @@ def solve_triangular_special(c: Oriented2Complex) -> list[TriangularFamily]:
             continue
         lam0 = _vector_as_map(bg.graph.vertices, kr.positive)
         det2, solutions = _solve_scale(c.skeleton, lam0)
-        for root, lam_scaled, gmap in solutions:
-            etaval = _eta_scalar(eta, lam_scaled.values())
+        for root, lam_scaled, gmap, lift in solutions:
+            etaval = lift(eta.exact_value())
             w = TriangularWeight(
                 g=gmap,
                 lambda_tilde=dict(lam_scaled),

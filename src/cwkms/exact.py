@@ -161,20 +161,20 @@ class Poly:
     __rmul__ = __mul__
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division; coefficients must support true division."""
+        """Euclidean division, with one inverse of the leading coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
         if self.degree < d:
             return Poly([]), self
-        lead = other.coeffs[-1]
-        zero = lead * 0
+        inv = Fraction(1) / other.coeffs[-1]
+        zero = inv * 0
         rem = list(self.coeffs)
         q = [zero] * (self.degree - d + 1)
         for k in range(len(q) - 1, -1, -1):
             top = rem[k + d]
             if not _is_zero(top):
-                c = top / lead
+                c = top * inv
                 q[k] = c
                 for i in range(d + 1):
                     rem[k + i] = rem[k + i] - c * other.coeffs[i]
@@ -886,6 +886,25 @@ def _hessenberg_charpoly(h: list[list], p: int | None = None) -> list:
                     nxt[k] -= f * v
         chars.append(nxt if p is None else [v % p for v in nxt])
     return chars[n]
+
+
+def regular_matrix(a: list[list]) -> list[list[Fraction]]:
+    """The rational nd x nd matrix of an n x n matrix A over a number field
+    K of degree d, acting on K**n = Q**(nd) in the power basis: entry a_ij
+    becomes the d x d block whose column k holds a_ij * x**k (the regular
+    representation; Cohen, section 4.3).  Its determinant is the norm of
+    det A, so its pencil det(C*W - I) is the norm of that of A."""
+    field = next(x.field for row in a for x in row if isinstance(x, FieldElement))
+    d = field.modulus.degree
+    powers = [FieldElement(field, (0,) * k + (1,)) for k in range(d)]
+    out = [[Fraction(0)] * (len(a) * d) for _ in range(len(a) * d)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, power in enumerate(powers):
+                y = power * x
+                for r, v in enumerate(y.nums):
+                    out[i * d + r][j * d + k] = Fraction(v, y.den)
+    return out
 
 
 # The benchmark's traced runs wrap this name; it stays until they wrap charpoly.

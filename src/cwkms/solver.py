@@ -159,19 +159,19 @@ def boundary_matrix(graph: DirectedGraph, lam) -> list[list]:
 
 def pencil_determinant(graph: DirectedGraph, lam) -> Poly:
     """det(x*W - I_r) as a polynomial in x, for the rows W - I_r of
-    ``boundary_matrix(graph, lam)``.
-
-    A sink row is zero, so any sink gives the zero polynomial.  Otherwise
-    I_r = I and
-
-        det(x*W - I) = (-1)**n * x**n * chi_W(1/x),
-
-    so the coefficient of x**k is (-1)**n * c_(n-k), where c_j is the
-    coefficient of t**j in chi_W(t) = det(t*I - W) (``charpoly``), in the
-    scalar type of W."""
+    ``boundary_matrix(graph, lam)``.  A sink row is zero, so any sink gives
+    the zero polynomial; otherwise I_r = I (``matrix_pencil``)."""
     rows = boundary_matrix(graph, lam)
     if any(graph.is_sink(v) for v in graph.vertices):
         return Poly([])
+    return matrix_pencil(rows)
+
+
+def matrix_pencil(rows) -> Poly:
+    """det(x*W - I) = (-1)**n * x**n * chi_W(1/x) as a polynomial in x, for
+    the square rows W - I: the coefficient of x**k is (-1)**n * c_(n-k), for
+    c_j that of t**j in chi_W(t) = det(t*I - W) (``charpoly``), in the
+    scalar type of W."""
     n = len(rows)
     chi = charpoly([[x + 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
     return Poly([-chi[n - k] if n % 2 else chi[n - k] for k in range(n + 1)])
@@ -180,8 +180,8 @@ def pencil_determinant(graph: DirectedGraph, lam) -> Poly:
 def det_polynomial(graph: DirectedGraph) -> Poly:
     """det(lambda*A - I_r) for the adjacency counts A: the reversed
     characteristic polynomial (-1)**n * lambda**n * chi_A(1/lambda) of A, or
-    0 when a sink is present (``pencil_determinant``)."""
-    return pencil_determinant(graph, Fraction(1))
+    0 when a sink is present (``pencil_determinant`` of int rows)."""
+    return pencil_determinant(graph, 1)
 
 
 # ---------------------------------------------------------------------------

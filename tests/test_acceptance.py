@@ -21,7 +21,7 @@ from cwkms.cwweights import (
     verify_rank2,
 )
 from cwkms.errors import AmbiguousSector
-from cwkms.exact import ROOT_WIDTH, Poly
+from cwkms.exact import ROOT_WIDTH, Poly, scalar_sign
 from cwkms.fixtures import fig_b_double_amalgam_spec, fig_b_two_parameter_weight
 from cwkms.pathalgebra import (
     Rank2Monomial,
@@ -112,7 +112,7 @@ def test_criterion_04_tight_solve(figb):
     for sign in (1, -1):
         match = match or all((sign * c - e).sign() == 0 for c, e in zip(det.coeffs, expected))
     ok &= match
-    ok &= fam.scale_root is not None and fam.scale_root > 0
+    ok &= fam.scale_root is not None and scalar_sign(fam.scale_root) > 0
     rep = verify_rank2(figb, fam.weight, RESIDUAL_TOL)
     ok &= rep.passed and rep.max_residual <= 1e-10 and rep.mode == MODE_TIGHT
     report(4, "figB tight family via the scale determinant", ok)

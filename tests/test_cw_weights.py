@@ -10,21 +10,31 @@ from cwkms.cwweights import (
     MODE_TIGHT,
     Rank2Weight,
     TriangularWeight,
+    _lift_tight,
+    _solve_scale,
     solve_2dcw,
     solve_triangular_special,
     verify_rank2,
     verify_triangular,
 )
-from cwkms.errors import InputError, MissingValue, ModeError, NonTriangularFace
-from cwkms.exact import Poly
+from cwkms.errors import CWKMSError, InputError, MissingValue, ModeError, NonTriangularFace
+from cwkms.exact import AlgebraicScalar, Poly, isolate_positive_roots
 from cwkms.fixtures import (
     fig_b_standard_weight,
     fig_b_tight_weight,
     fig_b_two_parameter_weight,
     monogon_triangle_spec,
 )
-from cwkms.pathalgebra import all_monomials, functional_from_graph_weight, kms_check
-from cwkms.solver import GraphWeight, boundary_matrix, det_polynomial, verify_graph_weight
+from cwkms.graphs import build_graph
+from cwkms.pathalgebra import all_monomials, functional_from_graph_weight, functional_from_rank2, kms_check
+from cwkms.solver import (
+    DEFAULT_TOL,
+    GraphWeight,
+    boundary_matrix,
+    det_polynomial,
+    solve_special_weights,
+    verify_graph_weight,
+)
 
 TOL = F(1, 10**10)
 
@@ -129,7 +139,7 @@ class TestSolve2dcw:
         fam = fams[0]
         assert fam.free_parameters == ["g"]
         cstar = bisect(lambda c: 1 - c**3 * ETA0**3 - c**4 * ETA0**6, 0.5, 2.0)
-        assert abs(fam.scale_root - cstar) < 1e-10
+        assert abs(float(fam.scale_root) - cstar) < 1e-10
         # second determinant is +-(1 - C^3 h^3 - C^4 h^6): compare exactly
         # in the number field of the boundary root
         det = fam.scale_det
@@ -154,8 +164,8 @@ class TestSolve2dcw:
             solve_2dcw(figb, "sideways")
 
     def test_scale_determinant_float_branch(self, figb):
-        # float lambda values (as left by a numeric kernel fallback) go
-        # through the interpolation branch and agree with the exact result
+        # float lambda values (as left by a numeric kernel fallback) are
+        # read exactly and agree with the exact result
         from cwkms.cwweights import scale_determinant
 
         lam0 = {
@@ -167,6 +177,55 @@ class TestSolve2dcw:
         assert len(det.coeffs) == len(expected)
         for got, want in zip(det.coeffs, expected):
             assert abs(got - want) < 1e-9
+
+    def test_tight_family_is_exact(self, figb, figb_boundary):
+        """The figB tight family lies in one field Q(C): zero residuals, and
+        the equilibrium identity holds at tol 0 on both factors."""
+        fam = solve_2dcw(figb, MODE_TIGHT)[0]
+        assert isinstance(fam.scale_root, AlgebraicScalar)
+        rep = verify_rank2(figb, fam.weight, 0)
+        assert rep.passed and rep.max_residual == 0.0
+        psi = functional_from_rank2(figb, fam.weight)
+        for factor, graph in ((psi.skeleton, figb.skeleton), (psi.boundary, figb_boundary.graph)):
+            monos = all_monomials(graph, 2)
+            assert kms_check(factor, [(x, y) for x in monos for y in monos], 0).passed
+
+    def test_tight_lift_of_a_float_vector(self, figb, figb_boundary):
+        """A float boundary vector, as the SVD kernel fallback leaves, is read
+        exactly: the family is the exact lift of the rounded data."""
+        fam = solve_special_weights(figb_boundary.graph).faithful_families()[0]
+        lam0 = dict(zip(figb_boundary.graph.vertices, map(float, fam.kernel.positive)))
+        fams = _lift_tight(figb, fam.eta, lam0)
+        assert len(fams) == 1
+        assert verify_rank2(figb, fams[0].weight, DEFAULT_TOL).passed
+        exact = solve_2dcw(figb, MODE_TIGHT)[0].scale_root
+        assert abs(float(fams[0].scale_root) - float(exact)) < 1e-12
+
+    def test_boundary_root_outside_the_scale_field_raises(self):
+        """On a 2-cycle with lam0 = (eta, eta**3), eta = 2**(1/4), the scale
+        determinant is 1 - 2 C**2: at C = 1/sqrt(2) every root of eta's
+        modulus y**4 - 2 is a root, and eta does not lie in Q(C)."""
+        cycle, x = _two_cycle_and_fourth_root_of_two()
+        with pytest.raises(CWKMSError, match="gcd of degree 4 over Q"):
+            _solve_scale(cycle, {"a": x, "b": x**3})
+
+    def test_rational_scale_root_over_a_field(self):
+        """lam0 = (eta, 1/eta) on a 2-cycle gives 1 - C**2 over Q(eta): the
+        rational root C = 1 is accepted exactly, and the family stays in Q(eta)."""
+        cycle, x = _two_cycle_and_fourth_root_of_two()
+        _, [(root, lam, g, lift)] = _solve_scale(cycle, {"a": x, "b": 1 / x})
+        assert root.rational == 1 and lam == {"a": x, "b": 1 / x}
+        assert g["u"] == x * g["v"] and lift(x) == x
+
+
+def _two_cycle_and_fourth_root_of_two():
+    """The 2-cycle u -a-> v -b-> u, and the generator of Q(2**(1/4))."""
+    (eta,) = isolate_positive_roots(Poly.from_ints([-2, 0, 0, 0, 1]))
+    cycle = build_graph({
+        "vertices": ["u", "v"],
+        "edges": [{"id": "a", "src": "u", "dst": "v"}, {"id": "b", "src": "v", "dst": "u"}],
+    })
+    return cycle, eta.number_field().gen()
 
 
 class TestTriangular:

@@ -88,16 +88,17 @@ def test_golden(case):
 
 def test_every_determinant_takes_the_hessenberg_body(monkeypatch):
     """Across the golden runs, each determinant of a graph without sinks
-    (``pencil_determinant``) makes one ``_hessenberg_charpoly`` call and the
-    float scale determinant is never reached.  Only figB's tight lift, whose
-    scale determinant has number-field entries, reduces in its own
-    arithmetic (p = None); every other determinant is reduced modulo a prime."""
+    (``pencil_determinant``) and each norm of a scale determinant (the
+    ``matrix_pencil`` of a block matrix) makes one ``_hessenberg_charpoly``
+    call.  Only figB's tight lift, whose scale determinant has number-field
+    entries, reduces in its own arithmetic (p = None), once; its norm and
+    every other determinant are reduced modulo a prime."""
     import cwkms.cwweights
     import cwkms.exact
     import cwkms.solver
 
     primes, dets = [], []
-    body, pencil = cwkms.exact._hessenberg_charpoly, cwkms.solver.pencil_determinant
+    body, pencil, norm = cwkms.exact._hessenberg_charpoly, cwkms.solver.pencil_determinant, cwkms.solver.matrix_pencil
 
     def spy_body(h, p=None):
         primes.append(p)
@@ -105,17 +106,18 @@ def test_every_determinant_takes_the_hessenberg_body(monkeypatch):
 
     def spy_pencil(graph, lam):
         if not any(graph.is_sink(v) for v in graph.vertices):
-            dets.append(graph)
+            dets.append("det")
         return pencil(graph, lam)
 
-    def no_float_determinant(graph, lam0):
-        raise AssertionError("float scale determinant reached")
+    def spy_norm(rows):
+        dets.append("norm")
+        return norm(rows)
 
     monkeypatch.setattr(cwkms.exact, "_hessenberg_charpoly", spy_body)
-    monkeypatch.setattr(cwkms.cwweights, "_scale_determinant_float", no_float_determinant)
+    monkeypatch.setattr(cwkms.cwweights, "matrix_pencil", spy_norm)
     for module in (cwkms.solver, cwkms.cwweights):
         monkeypatch.setattr(module, "pencil_determinant", spy_pencil)
-    over_q, total = set(), 0
+    over_q, norms, total = set(), {}, 0
     for case in sorted(CASES):
         primes.clear()
         dets.clear()
@@ -124,8 +126,39 @@ def test_every_determinant_takes_the_hessenberg_body(monkeypatch):
         total += len(dets)
         if None in primes:
             over_q.add(case)
+            assert primes.count(None) == 1, case
+        if "norm" in dets:
+            norms[case] = [p for p, kind in zip(primes, dets) if kind == "norm"]
     assert over_q == {"solve-cw-tight-figB"}
+    assert list(norms) == ["solve-cw-tight-figB"] and None not in norms["solve-cw-tight-figB"]
     assert total > len(over_q)
+
+
+def test_only_the_gamma_boundary_solve_reaches_a_float_function(monkeypatch):
+    """Across the golden runs, the SVD kernel fallback and a float eta value
+    are reached only by ``solve-graph --boundary`` on gamma, whose
+    square-free modulus is reducible."""
+    import cwkms.cwweights
+    import cwkms.solver
+
+    reached = set()
+    svd, eta_scalar = cwkms.solver._kernel_basis_svd, cwkms.cwweights._eta_scalar
+
+    def spy_svd(rows):
+        reached.add(case)
+        return svd(rows)
+
+    def spy_eta_scalar(eta, companions=()):
+        out = eta_scalar(eta, companions)
+        if isinstance(out, float):
+            reached.add(case)
+        return out
+
+    monkeypatch.setattr(cwkms.solver, "_kernel_basis_svd", spy_svd)
+    monkeypatch.setattr(cwkms.cwweights, "_eta_scalar", spy_eta_scalar)
+    for case in sorted(CASES):
+        assert run_case(case) == expected(case)
+    assert reached == {"solve-graph-boundary-gamma"}
 
 
 def _subcommands(parser) -> set[tuple[str, ...]]:

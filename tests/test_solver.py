@@ -163,8 +163,11 @@ class TestBoundaryMatrix:
 
     def test_det_polynomial_takes_the_modular_path(self, monkeypatch, figb_boundary):
         """The integer determinant is the reversed characteristic polynomial
-        from ``charpoly``, reduced modulo 2**61 - 1 and not over Q."""
+        from ``charpoly`` of an int matrix, reduced modulo 2**61 - 1 and not
+        over Q."""
         import cwkms.exact
+        import cwkms.solver
+        from cwkms.exact import charpoly
 
         calls = []
         body = cwkms.exact._hessenberg_charpoly
@@ -173,9 +176,16 @@ class TestBoundaryMatrix:
             calls.append((len(h), p))
             return body(h, p)
 
+        def spy_charpoly(a):
+            entries.extend(type(x) for row in a for x in row)
+            return charpoly(a)
+
+        entries = []
         monkeypatch.setattr(cwkms.exact, "_hessenberg_charpoly", spy)
+        monkeypatch.setattr(cwkms.solver, "charpoly", spy_charpoly)
         det = det_polynomial(figb_boundary.graph)
         assert calls == [(6, 2**61 - 1)]
+        assert set(entries) == {int}
         assert det in (Poly.from_ints([1, 0, 0, -1, -1]), Poly.from_ints([-1, 0, 0, 1, 1]))
         assert all(type(c) is F for c in det.coeffs)
 
@@ -660,10 +670,6 @@ class TestPerronFrobenius:
         [
             # the SVD of a rank-one matrix: its kernel line is +-(1, 1)/sqrt(2)
             ("[abs(x) for x in solver._kernel_basis_svd([[1, -1], [-1, 1]])[0]]", [0.5**0.5] * 2),
-            # det(C * 0.5 - 1) on one loop, from a float lambda value
-            (f"cwweights._scale_determinant_float(build_graph({LOOP!r}), {{'e': 0.5}}).coeffs", [-1.0, 0.5]),
-            # np.roots on x^2 - 2 with float coefficients
-            ("cwweights._poly_positive_roots_numeric(Poly([-2.0, 0.0, 1.0]))", [2**0.5]),
         ],
     )
     def test_each_float_fallback_imports_numpy_itself(self, call, expected):
@@ -681,6 +687,21 @@ class TestPerronFrobenius:
             """
         ).replace("CALL", call)
         assert eval(_run_fresh(code)) == pytest.approx(expected, abs=1e-9)
+
+    def test_tight_solve_does_not_import_numpy(self):
+        # figB's tight scale root is found through the norm, in exact arithmetic
+        figb = Path(__file__).parent / "golden" / "inputs" / "figB.json"
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            import cwkms.cli
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cwkms.cli.main(["solve-cw", "--mode", "tight", {str(figb)!r}]) == 0
+            assert '"families"' in out.getvalue()
+            print("numpy" in sys.modules)
+            """
+        )
+        assert _run_fresh(code).split() == ["False"]
 
 
 def _run_fresh(code: str) -> str:
