@@ -47,6 +47,7 @@ from .pathalgebra import (
     kms_check,
     monomial,
     monomial_product,
+    rank2_product,
     vertex_projection,
 )
 from .solver import (

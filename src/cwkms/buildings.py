@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import Oriented2Complex, build_complex
@@ -82,7 +83,7 @@ def fano_plane() -> IncidencePlane:
 class TrianglePresentation:
     """Relation triples over a projective plane with a point-line bijection.
 
-    Triples are stored closed under cyclic rotation; every rotation (x, y, .)
+    Triples are read closed under cyclic rotation; every rotation (x, y, .)
     requires y on the line of x, and each incident pair extends to exactly
     one triple (so ``third`` is single valued)."""
 
@@ -98,21 +99,19 @@ class TrianglePresentation:
             raise InvalidTriple("point-line map is not a bijection")
         if not images <= set(self.plane.lines):
             raise InvalidTriple("point-line map does not land in the plane's lines")
-        closure = set()
-        for (x, y, z) in self.triples:
-            closure |= {(x, y, z), (y, z, x), (z, x, y)}
-        pair_third: dict = {}
-        for (x, y, z) in closure:
+        for (x, y), thirds in self._thirds.items():
             if y not in self.line_of[x]:
-                raise InvalidTriple(f"triple ({x},{y},{z}): {y!r} is not on the line of {x!r}")
-            if (x, y) in pair_third and pair_third[(x, y)] != z:
+                raise InvalidTriple(f"triple ({x},{y},{min(thirds)}): {y!r} is not on the line of {x!r}")
+            if len(thirds) > 1:
                 raise InvalidTriple(f"pair ({x},{y}) extends to two different triples")
-            pair_third[(x, y)] = z
 
-    def rotation_closure(self) -> set[tuple[str, str, str]]:
-        out = set()
+    @cached_property
+    def _thirds(self) -> dict[tuple[str, str], set[str]]:
+        """Each pair (x, y) of a rotated triple (x, y, z) -> its thirds z."""
+        out: dict = {}
         for (x, y, z) in self.triples:
-            out |= {(x, y, z), (y, z, x), (z, x, y)}
+            for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
+                out.setdefault((p, q), set()).add(r)
         return out
 
     def incident_pairs(self) -> list[tuple[str, str]]:
@@ -125,7 +124,7 @@ class TrianglePresentation:
         return out
 
     def third(self, a: str, b: str) -> str:
-        matches = {z for (x, y, z) in self.rotation_closure() if (x, y) == (a, b)}
+        matches = self._thirds.get((a, b), set())
         if len(matches) != 1:
             raise AmbiguousSector(
                 f"pair ({a},{b}) lies in {len(matches)} triples", vertex=(a, b)
@@ -207,15 +206,11 @@ class TripleJoinSectorRule:
             if d in tp.line_of[b]:
                 continue
             if d == x:
-                raise AmbiguousSector(
-                    f"degenerate choice d == x for pair ({a},{b})", vertex=(a, b), choice=d
-                )
+                raise AmbiguousSector(f"degenerate choice d == x for pair ({a},{b})", vertex=(a, b))
             line = plane.join(x, d)
             c = line_to_point.get(line)
             if c is None:
-                raise AmbiguousSector(
-                    f"no generator with line through {x!r} and {d!r}", vertex=(a, b), choice=d
-                )
+                raise AmbiguousSector(f"no generator with line through {x!r} and {d!r}", vertex=(a, b))
             out.append((c, d))
         return out
 
@@ -227,9 +222,7 @@ class TripleJoinSectorRule:
             if a in tp.line_of[c]:
                 continue
             if c == x:
-                raise AmbiguousSector(
-                    f"degenerate choice c == x for pair ({a},{b})", vertex=(a, b), choice=c
-                )
+                raise AmbiguousSector(f"degenerate choice c == x for pair ({a},{b})", vertex=(a, b))
             d = plane.meet(tp.line_of[c], tp.line_of[x])
             out.append((c, d))
         return out
@@ -256,14 +249,12 @@ def sector_graphs(tp: TrianglePresentation, rule=None) -> tuple[DirectedGraph, D
                 raise AmbiguousSector(
                     f"{direction} rule yields {len(targets)} targets at ({a},{b}), expected {q2}",
                     vertex=(a, b),
-                    candidates=targets,
                 )
             for (c, d) in targets:
                 if (c, d) not in pair_set:
                     raise AmbiguousSector(
                         f"{direction} rule left the vertex set at ({a},{b}) -> ({c},{d})",
                         vertex=(a, b),
-                        choice=(c, d),
                     )
                 edges.append({
                     "id": f"{_pair_id(a, b)}>{_pair_id(c, d)}",
@@ -372,6 +363,8 @@ def lattice_weight_check(q: int, bound: tuple[int, int], base: dict, law=None) -
     """
     if q < 1:
         raise InputError("q must be positive")
+    if min(bound) < 0:
+        raise InputError(f"bound must be non-negative, got {bound}")
     m1max, m2max = bound
     lawf = law or decay_law(q)
     for letter, v in base.items():

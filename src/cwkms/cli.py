@@ -79,6 +79,34 @@ def tolerance(text: str) -> Fraction:
     return value
 
 
+def count(text: str) -> int:
+    """Type of ``--max-path-len`` and of each half of ``--bound``: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def count_pair(text: str) -> tuple[int, int]:
+    """Type of ``--bound``: two counts m1,m2."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected two integers m1,m2, got {text!r}")
+    return count(parts[0]), count(parts[1])
+
+
+def base_item(text: str) -> tuple[str, str]:
+    """Type of ``--base``: letter=value with a non-empty letter; the value is
+    read by ``parse_scalar``."""
+    letter, sep, value = text.partition("=")
+    if not (letter and sep):
+        raise argparse.ArgumentTypeError(f"expected letter=value, got {text!r}")
+    return letter, value
+
+
 def _scalar_json(x) -> dict:
     """Decimal string plus the exact form when one is available."""
     out = {"decimal": decimal(x)}
@@ -205,7 +233,7 @@ def cmd_solve_triangular(args) -> int:
         "families": [
             {
                 "eta": _scalar_json(f.eta),
-                "lambda": _value_map_json(f.lam),
+                "lambda": _value_map_json(f.weight.lam),
                 "g": _value_map_json(f.weight.g),
                 "free_parameters": f.free_parameters,
                 "det": [str(c) for c in f.det.coeffs],
@@ -371,12 +399,8 @@ def cmd_a2(args) -> int:
         _emit(out, args.format)
         return EXIT_OK
     if args.a2_command == "lattice-check":
-        base = {}
-        for item in args.base or ["o=1"]:
-            k, _, v = item.partition("=")
-            base[k] = parse_scalar(v)
-        m1, _, m2 = args.bound.partition(",")
-        rep = buildings.lattice_weight_check(args.q, (int(m1), int(m2)), base)
+        base = {k: parse_scalar(v) for k, v in args.base or [("o", "1")]}
+        rep = buildings.lattice_weight_check(args.q, args.bound, base)
         out = {"command": "a2 lattice-check", "report": rep.to_dict()}
         _emit(out, args.format)
         return EXIT_OK if rep.passed else EXIT_FAIL
@@ -425,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kms-check", help="equilibrium identity sweep")
     p.add_argument("object")
     p.add_argument("weight")
-    p.add_argument("--max-path-len", type=int, default=4)
+    p.add_argument("--max-path-len", type=count, default=4)
     p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("--beta-sign", choices=["+", "-"], default="-")
     p.add_argument("--boundary", action="store_true")
@@ -446,8 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--matched", action="store_true")
     pl = asub.add_parser("lattice-check")
     pl.add_argument("--q", type=int, default=2)
-    pl.add_argument("--bound", default="4,4")
-    pl.add_argument("--base", action="append", help="letter=value, repeatable")
+    pl.add_argument("--bound", type=count_pair, default="4,4")
+    pl.add_argument("--base", type=base_item, action="append", help="letter=value, repeatable")
     p.set_defaults(func=cmd_a2)
 
     return ap

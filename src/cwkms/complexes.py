@@ -26,10 +26,6 @@ class Face:
     id: str
     boundary: tuple[str, ...]  # cyclic word of edge ids, fixed starting edge
 
-    def rotations(self) -> set[tuple[str, ...]]:
-        w = self.boundary
-        return {w[i:] + w[:i] for i in range(len(w))}
-
 
 @dataclass(frozen=True)
 class Oriented2Complex:

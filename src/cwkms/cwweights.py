@@ -168,7 +168,6 @@ class Rank2Family:
     at the solved root for tight mode); ``free_parameters`` names the
     remaining positive scale freedoms."""
 
-    mode: str
     eta: AlgebraicScalar
     weight: Rank2Weight
     free_parameters: list[str]
@@ -226,7 +225,7 @@ def _lift_standard(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> Ran
     etaval = _eta_scalar(eta, lam0.values())
     eta_map = {f.id: etaval for f in c.faces}
     w = Rank2Weight(g=g, lambda_tilde=lt, lam=dict(lam0), eta=eta_map, mode=MODE_STANDARD)
-    return Rank2Family(mode=MODE_STANDARD, eta=eta, weight=w, free_parameters=free)
+    return Rank2Family(eta=eta, weight=w, free_parameters=free)
 
 
 def _eta_scalar(eta: AlgebraicScalar, companions=()):
@@ -335,16 +334,7 @@ def _lift_tight(c: Oriented2Complex, eta: AlgebraicScalar, lam0: dict) -> list[R
             eta={f.id: etaval for f in c.faces},
             mode=MODE_TIGHT,
         )
-        out.append(
-            Rank2Family(
-                mode=MODE_TIGHT,
-                eta=eta,
-                weight=w,
-                free_parameters=["g"],
-                scale_det=det,
-                scale_root=root,
-            )
-        )
+        out.append(Rank2Family(eta=eta, weight=w, free_parameters=["g"], scale_det=det, scale_root=root))
     return out
 
 
@@ -362,14 +352,7 @@ def _solve_no_faces(c: Oriented2Complex, mode: str) -> list[Rank2Family]:
             eid: ltmap[eid] * gmap[sk.dst(eid)] for eid in sk.edge_ids()
         }
         w = Rank2Weight(g=gmap, lambda_tilde=ltmap, lam=lam, eta={}, mode=mode)
-        fams.append(
-            Rank2Family(
-                mode=mode,
-                eta=fam.eta,
-                weight=w,
-                free_parameters=["C"],
-            )
-        )
+        fams.append(Rank2Family(eta=fam.eta, weight=w, free_parameters=["C"]))
     return fams
 
 
@@ -440,7 +423,6 @@ def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL)
 @dataclass
 class TriangularFamily:
     eta: AlgebraicScalar
-    lam: dict
     scale_root: object
     weight: TriangularWeight
     free_parameters: list[str]
@@ -484,7 +466,6 @@ def solve_triangular_special(c: Oriented2Complex) -> list[TriangularFamily]:
             families.append(
                 TriangularFamily(
                     eta=eta,
-                    lam=lam_scaled,
                     scale_root=root,
                     weight=w,
                     free_parameters=["g"],

@@ -72,17 +72,12 @@ class InvalidTriple(InputError):
 
 
 class AmbiguousSector(CWKMSError):
-    """The sector incidence rule failed to determine a unique target pair.
+    """The sector incidence rule failed to determine a unique target pair;
+    ``vertex`` is the incident pair at which the cardinality contract broke."""
 
-    Carries enough context to diagnose which pair and which choice broke the
-    cardinality contract.
-    """
-
-    def __init__(self, message: str, vertex=None, choice=None, candidates=None):
+    def __init__(self, message: str, vertex=None):
         super().__init__(message)
         self.vertex = vertex
-        self.choice = choice
-        self.candidates = candidates
 
 
 class NonpositiveBase(InputError):

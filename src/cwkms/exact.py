@@ -413,12 +413,6 @@ class AlgebraicScalar:
 
     __float__ = to_float
 
-    def equals_rational(self, r) -> bool:
-        r = parse_scalar(r)
-        if self.is_rational:
-            return self.rational == r
-        return False
-
     def exact_value(self):
         """The root as an exact scalar: its Fraction, or the generator of
         its number field."""

@@ -1,8 +1,8 @@
-"""Named example fixtures used by tests and the CLI fixture registry.
+"""Named example specs behind the CLI fixture registry.
 
 ``figB`` is a two-face complex on five vertices whose boundary graph has the
-determinant 1 - x^3 - x^4; its derived weights appear throughout the test
-suite.  The skeleton was reconstructed from the defining weight equations:
+determinant 1 - x^3 - x^4.  The skeleton was reconstructed from the
+defining weight equations:
 
     g(u) = lt(a) g(x) + lt(e) g(z)     ->  bundle(u) = {a, e}
     g(x) = lt(b) g(y)                  ->  b: x -> y
@@ -11,7 +11,10 @@ suite.  The skeleton was reconstructed from the defining weight equations:
     g(z) = lt(f) g(v)                  ->  f: z -> v
     coupling lt(a) g(x) fixes a: u -> x, lt(e) g(z) fixes e: u -> z
 
-with faces attached along (a, b, c, d) and (d, e, f).
+with faces attached along (a, b, c, d) and (d, e, f).  The paper's
+closed-form figB weights (standard, two-parameter and tight) are references
+that the solver is checked against, so they live with the tests, in
+``tests/conftest.py``.
 
 ``gamma-q2`` is the one-vertex triangular complex of the order-2 triangle
 presentation below (seven loop generators, seven triangular relations); its
@@ -19,9 +22,6 @@ triangle set also induces the Fano plane fixture.
 """
 
 from __future__ import annotations
-
-from .complexes import Oriented2Complex, build_complex
-from .cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight
 
 FIG_B_SPEC = {
     "vertices": ["u", "x", "y", "v", "z"],
@@ -76,10 +76,6 @@ def gamma_q2_presentation_spec() -> dict:
     }
 
 
-def fig_b_complex() -> Oriented2Complex:
-    return build_complex(FIG_B_SPEC)
-
-
 def monogon_triangle_spec() -> dict:
     """One vertex, three loops, one triangular face; the smallest complex
     whose boundary graph is a 3-cycle."""
@@ -110,66 +106,6 @@ def fig_b_double_amalgam_spec() -> dict:
             {"piece": "p2", "residue": "r", **identity_attach},
         ],
     }
-
-
-def fig_b_standard_weight(eta, c=1.0):
-    """Closed-form standard-mode weight on figB at the given root value:
-    g = C*(h^2, h, h, 1/h, 1) on (x,y,z,u,v), lambda = C*(h^3,h^2,h,1,h^2,h),
-    constant lambda_tilde = h, face coefficient h on both faces."""
-    h = eta
-    return Rank2Weight(
-        g={"x": c * h * h, "y": c * h, "z": c * h, "u": c / h, "v": c * (h / h)},
-        lambda_tilde={k: h for k in "abcdef"},
-        lam={
-            "a": c * h ** 3, "b": c * h * h, "c": c * h,
-            "d": c * (h / h), "e": c * h * h, "f": c * h,
-        },
-        eta={"s1": h, "s2": h},
-        mode=MODE_STANDARD,
-    )
-
-
-def fig_b_two_parameter_weight(eta1: float, c: float = 1.0):
-    """Faithful (non-special) weight family on figB: face coefficients
-    eta1 on the square face and eta2 = (1 - eta1^4)^(1/3) on the triangle,
-    with the closed-form quadruple that couples them."""
-    if not 0 < eta1 < 1:
-        raise ValueError("eta1 must lie in (0, 1)")
-    eta2 = (1.0 - eta1 ** 4) ** (1.0 / 3.0)
-    s = eta1 ** 3 + eta2 ** 2
-    return Rank2Weight(
-        g={"x": c * eta1 ** 2, "y": c * eta1, "z": c * eta2, "u": c * s, "v": c},
-        lambda_tilde={"a": eta1, "b": eta1, "c": eta1, "d": 1.0 / s, "e": eta2, "f": eta2},
-        lam={
-            "a": c * eta1 ** 3, "b": c * eta1 ** 2, "c": c * eta1,
-            "d": c, "e": c * eta2 ** 2, "f": c * eta2,
-        },
-        eta={"s1": eta1, "s2": eta2},
-        mode=MODE_STANDARD,
-    )
-
-
-def fig_b_tight_weight(eta: float, c: float):
-    """Closed-form tight-mode weight on figB: lambda = lambda_tilde =
-    C*(h^3,h^2,h,1,h^2,h) at a positive root C of 1 - C^3 h^3 - C^4 h^6, and
-    g the solution of the rescaled skeleton system (normalized at g(v)=1)."""
-    h = eta
-    lam = {
-        "a": c * h ** 3, "b": c * h ** 2, "c": c * h,
-        "d": c, "e": c * h ** 2, "f": c * h,
-    }
-    g_v = 1.0
-    g_u = g_v / c                      # g(v) = C g(u)
-    g_y = c * h * g_v                  # g(y) = C h g(v)
-    g_x = c * h ** 2 * g_y             # g(x) = C h^2 g(y)
-    g_z = c * h * g_v                  # g(z) = C h g(v)
-    return Rank2Weight(
-        g={"x": g_x, "y": g_y, "z": g_z, "u": g_u, "v": g_v},
-        lambda_tilde=dict(lam),
-        lam=dict(lam),
-        eta={"s1": h, "s2": h},
-        mode=MODE_TIGHT,
-    )
 
 
 FIXTURES = {

@@ -44,14 +44,6 @@ class DirectedGraph:
             out[e.src].append(e.id)
         object.__setattr__(self, "_out", {v: tuple(ids) for v, ids in out.items()})
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def has_vertex(self, v: str) -> bool:
         return v in self._vset
 

@@ -100,9 +100,6 @@ class PathMonomial:
         """Whether |mu| = |nu|, so that the gauge action fixes the monomial."""
         return len(self.mu.edges) == len(self.nu.edges)
 
-    def is_projection(self) -> bool:
-        return not self.mu.edges and not self.nu.edges and self.mu.src == self.nu.src
-
     def scaled(self, c) -> "PathMonomial":
         return PathMonomial(self.graph, self.mu, self.nu, self.coeff * c)
 

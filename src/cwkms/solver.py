@@ -84,11 +84,6 @@ class GraphWeight:
         vals = [self.lam[e.id] for e in graph.edges]
         return all(scalar_eq(v, vals[0]) for v in vals[1:]) if vals else True
 
-    def strictly_positive_on(self, graph: DirectedGraph) -> bool:
-        return all(scalar_sign(self.g[v]) > 0 for v in graph.vertices) and all(
-            scalar_sign(self.lam[e.id]) > 0 for e in graph.edges
-        )
-
 
 @dataclass
 class WeightReport:

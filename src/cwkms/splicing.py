@@ -238,8 +238,6 @@ class Amalgam:
     with the assembled foundation complex and the renaming maps."""
 
     pieces: dict[str, Oriented2Complex]
-    residues: dict[str, DirectedGraph]
-    attachments: list[Attachment]
     foundation: Oriented2Complex
     vertex_names: dict  # (piece, vertex) -> foundation vertex id
     edge_names: dict    # (piece, edge) -> foundation edge id
@@ -290,7 +288,7 @@ def build_amalgam(spec: dict) -> Amalgam:
         vertex_names = {(pname, v): v for v in piece.skeleton.vertices}
         edge_names = {(pname, e): e for e in piece.skeleton.edge_ids()}
         face_names = {(pname, f.id): f.id for f in piece.faces}
-        return Amalgam(pieces, residues, attachments, piece, vertex_names, edge_names, face_names)
+        return Amalgam(pieces, piece, vertex_names, edge_names, face_names)
 
     skeleton, vmaps, emaps = _colimit({p: c.skeleton for p, c in pieces.items()}, attachments)
     vertex_names = {(p, v): name for p, m in vmaps.items() for v, name in m.items()}
@@ -305,7 +303,7 @@ def build_amalgam(spec: dict) -> Amalgam:
         for f in c.faces
     )
     foundation = Oriented2Complex(skeleton, faces)
-    return Amalgam(pieces, residues, attachments, foundation, vertex_names, edge_names, face_names)
+    return Amalgam(pieces, foundation, vertex_names, edge_names, face_names)
 
 
 def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_TOL) -> Rank2Weight:

@@ -1,4 +1,8 @@
-"""Shared fixtures and random-object helpers for the suite.
+"""Shared fixtures, reference weights and random-object helpers for the suite.
+
+The closed-form figB weights of the source paper (standard, two-parameter
+and tight) are the references the solver and the verifiers are compared
+against; the package itself never builds them.
 
 Also enforces the whole-suite runtime budget (acceptance criterion 10):
 the sessionfinish hook prints its PASS/FAIL line and fails the run when the
@@ -31,15 +35,16 @@ def pytest_sessionfinish(session, exitstatus):
         session.exitstatus = 1
 
 from cwkms.buildings import presentation_complex, presentation_from_spec, sector_graphs
-from cwkms.complexes import boundary_graph
-from cwkms.fixtures import fig_b_complex, gamma_q2_presentation_spec
+from cwkms.complexes import boundary_graph, build_complex
+from cwkms.cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight
+from cwkms.fixtures import FIG_B_SPEC, gamma_q2_presentation_spec
 from cwkms.graphs import DirectedGraph, build_graph
 from cwkms.solver import GraphWeight
 
 
 @pytest.fixture(scope="session")
 def figb():
-    return fig_b_complex()
+    return build_complex(FIG_B_SPEC)
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +86,66 @@ def det_exact(rows):
                 f = a[i][k] / a[k][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def fig_b_standard_weight(eta, c=1.0):
+    """Closed-form standard-mode weight on figB at the given root value:
+    g = C*(h^2, h, h, 1/h, 1) on (x,y,z,u,v), lambda = C*(h^3,h^2,h,1,h^2,h),
+    constant lambda_tilde = h, face coefficient h on both faces."""
+    h = eta
+    return Rank2Weight(
+        g={"x": c * h * h, "y": c * h, "z": c * h, "u": c / h, "v": c * (h / h)},
+        lambda_tilde={k: h for k in "abcdef"},
+        lam={
+            "a": c * h ** 3, "b": c * h * h, "c": c * h,
+            "d": c * (h / h), "e": c * h * h, "f": c * h,
+        },
+        eta={"s1": h, "s2": h},
+        mode=MODE_STANDARD,
+    )
+
+
+def fig_b_two_parameter_weight(eta1: float, c: float = 1.0):
+    """Faithful (non-special) weight family on figB: face coefficients
+    eta1 on the square face and eta2 = (1 - eta1^4)^(1/3) on the triangle,
+    with the closed-form quadruple that couples them."""
+    if not 0 < eta1 < 1:
+        raise ValueError("eta1 must lie in (0, 1)")
+    eta2 = (1.0 - eta1 ** 4) ** (1.0 / 3.0)
+    s = eta1 ** 3 + eta2 ** 2
+    return Rank2Weight(
+        g={"x": c * eta1 ** 2, "y": c * eta1, "z": c * eta2, "u": c * s, "v": c},
+        lambda_tilde={"a": eta1, "b": eta1, "c": eta1, "d": 1.0 / s, "e": eta2, "f": eta2},
+        lam={
+            "a": c * eta1 ** 3, "b": c * eta1 ** 2, "c": c * eta1,
+            "d": c, "e": c * eta2 ** 2, "f": c * eta2,
+        },
+        eta={"s1": eta1, "s2": eta2},
+        mode=MODE_STANDARD,
+    )
+
+
+def fig_b_tight_weight(eta: float, c: float):
+    """Closed-form tight-mode weight on figB: lambda = lambda_tilde =
+    C*(h^3,h^2,h,1,h^2,h) at a positive root C of 1 - C^3 h^3 - C^4 h^6, and
+    g the solution of the rescaled skeleton system (normalized at g(v)=1)."""
+    h = eta
+    lam = {
+        "a": c * h ** 3, "b": c * h ** 2, "c": c * h,
+        "d": c, "e": c * h ** 2, "f": c * h,
+    }
+    g_v = 1.0
+    g_u = g_v / c                      # g(v) = C g(u)
+    g_y = c * h * g_v                  # g(y) = C h g(v)
+    g_x = c * h ** 2 * g_y             # g(x) = C h^2 g(y)
+    g_z = c * h * g_v                  # g(z) = C h g(v)
+    return Rank2Weight(
+        g={"x": g_x, "y": g_y, "z": g_z, "u": g_u, "v": g_v},
+        lambda_tilde=dict(lam),
+        lam=dict(lam),
+        eta={"s1": h, "s2": h},
+        mode=MODE_TIGHT,
+    )
 
 
 def random_graph(rng: random.Random, n_max: int = 6, allow_sinks: bool = True) -> DirectedGraph:

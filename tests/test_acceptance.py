@@ -22,7 +22,7 @@ from cwkms.cwweights import (
 )
 from cwkms.errors import AmbiguousSector
 from cwkms.exact import ROOT_WIDTH, Poly, scalar_sign
-from cwkms.fixtures import fig_b_double_amalgam_spec, fig_b_two_parameter_weight
+from cwkms.fixtures import fig_b_double_amalgam_spec
 from cwkms.pathalgebra import (
     Rank2Monomial,
     all_monomials,
@@ -33,7 +33,13 @@ from cwkms.pathalgebra import (
 from cwkms.solver import GraphWeight, solve_special_weights, verify_graph_weight
 from cwkms.splicing import build_amalgam, splice_cw_weights, splice_graph_weights
 
-from .conftest import compatible_extension_pair, random_faithful_weight, random_graph
+from .conftest import (
+    compatible_extension_pair,
+    fig_b_standard_weight,
+    fig_b_two_parameter_weight,
+    random_faithful_weight,
+    random_graph,
+)
 from .test_cw_weights import ETA0
 
 RESIDUAL_TOL = F(1, 10**10)
@@ -133,14 +139,14 @@ def test_criterion_05_gamma_building(gamma_complex):
     ok = rep.det in (expected, -expected)
     roots = rep.families
     ok &= len(roots) == 2
-    ok &= roots[0].eta.equals_rational(F(1, 3))
+    ok &= roots[0].eta.rational == F(1, 3)
     ok &= abs(roots[1].eta.to_float() - 2**-0.5) <= 1e-13
     ok &= roots[0].kernel.status == "positive"
     ok &= roots[1].kernel.status != "positive"
     ok &= len(fams) == 1
     fam = fams[0]
-    ok &= fam.eta.equals_rational(F(1, 3))
-    ok &= all(v == F(1, 7) for v in fam.lam.values())
+    ok &= fam.eta.rational == F(1, 3)
+    ok &= all(v == F(1, 7) for v in fam.weight.lam.values())
     ok &= fam.free_parameters == ["g"]
     ok &= elapsed < 1.0
     report(5, "triangle-presentation building: det factors, roots, unique family", ok)
@@ -157,8 +163,6 @@ def test_criterion_06_kms_identity(figb, figb_boundary):
     ok = rep_b.passed and rep_b.max_discrepancy <= 1e-10
 
     # rank-2 weight: factorwise over all pairs of length <= 4 plus a mixed sample
-    from cwkms.fixtures import fig_b_standard_weight
-
     w2 = fig_b_standard_weight(ETA0, c=1.0)
     psi2 = functional_from_rank2(figb, w2, beta_sign=-1)
     monos_s = all_monomials(figb.skeleton, 4)
@@ -221,8 +225,8 @@ def test_criterion_09_sector_graphs(gamma_presentation):
     # solve to lambda = 1/4 with kernel vector identically 1 (exact rationals)
     rp = solve_special_weights(gp)
     rm = solve_special_weights(gm)
-    const_p = [f for f in rp.faithful_families() if f.eta.equals_rational(F(1, 4))]
-    const_m = [f for f in rm.faithful_families() if f.eta.equals_rational(F(1, 4))]
+    const_p = [f for f in rp.faithful_families() if f.eta.rational == F(1, 4)]
+    const_m = [f for f in rm.faithful_families() if f.eta.rational == F(1, 4)]
     ok &= len(const_p) == 1 and len(const_m) == 1
     kp, km = const_p[0].kernel.positive, const_m[0].kernel.positive
     ok &= all(x == 1 for x in kp) and all(x == 1 for x in km)
@@ -232,7 +236,7 @@ def test_criterion_09_sector_graphs(gamma_presentation):
     )
     pairs = matched_weight_search(gp, gm)
     ok &= any(
-        p.plus.eta.equals_rational(F(1, 4)) and p.minus.eta.equals_rational(F(1, 4))
+        p.plus.eta.rational == F(1, 4) and p.minus.eta.rational == F(1, 4)
         for p in pairs
     )
     report(9, "sector graphs: 21 vertices, out-degree 4, exact matched pair", ok)

@@ -74,9 +74,14 @@ class TestPresentation:
     def test_faces_are_relation_classes(self, gamma_presentation, gamma_complex):
         words = {f.boundary for f in gamma_complex.faces}
         assert len(words) == 7
-        closure = gamma_presentation.rotation_closure()
         for w in words:
-            assert w in closure
+            assert gamma_presentation.third(w[0], w[1]) == w[2]
+
+    def test_pair_without_triple_is_ambiguous(self, gamma_presentation):
+        # x1 is not on the line of x0, so no rotated triple starts (x0, x1)
+        with pytest.raises(AmbiguousSector) as err:
+            gamma_presentation.third("x0", "x1")
+        assert err.value.vertex == ("x0", "x1")
 
     def test_repeated_generator_face(self, gamma_complex):
         assert ("x0", "x0", "x6") in {f.boundary for f in gamma_complex.faces}
@@ -129,8 +134,8 @@ class TestMatchedSearch:
         pairs = matched_weight_search(gp, gm)
         assert len(pairs) >= 1
         best = pairs[0]
-        assert best.plus.eta.equals_rational(F(1, 4))
-        assert best.minus.eta.equals_rational(F(1, 4))
+        assert best.plus.eta.rational == F(1, 4)
+        assert best.minus.eta.rational == F(1, 4)
         for v in best.psi_values.values():
             assert abs(v - 0.25) < 1e-12
 
@@ -139,7 +144,7 @@ class TestMatchedSearch:
         rep = solve_special_weights(gp)
         fams = rep.faithful_families()
         assert any(
-            f.eta.equals_rational(F(1, 4)) and all(x == 1 for x in f.kernel.positive)
+            f.eta.rational == F(1, 4) and all(x == 1 for x in f.kernel.positive)
             for f in fams
         )
 
@@ -189,6 +194,12 @@ class TestShapeLattice:
         dir2 = [r for (_, _, _, d), r in rep.residuals.items() if d == 2]
         assert all(r == 0 for r in dir1)
         assert all(r != 0 for r in dir2)
+
+    def test_negative_bound_rejected(self):
+        # a negative bound would leave an empty lattice that passes vacuously
+        for bound in ((2, -1), (-1, 2)):
+            with pytest.raises(InputError, match="bound must be non-negative"):
+                lattice_weight_check(2, bound, {"a": F(1)})
 
     def test_nonpositive_base_rejected(self):
         with pytest.raises(NonpositiveBase):

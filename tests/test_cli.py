@@ -297,6 +297,12 @@ def test_fuzzed_weight_files_exit_2(tmp_path, figb_file, weight, command):
         (["splice", "FIG", "--weights", ".", "--tol", "x"], "argument --tol: invalid rational value: 'x'"),
         (["solve-cw", "--special", "FIG"], "unrecognized arguments: --special"),
         (["verify", "--mode", "bogus", "FIG", "FIG"], "argument --mode: invalid choice: 'bogus'"),
+        (["a2", "lattice-check", "--bound", "2,-1"], "argument --bound: must be non-negative, got '-1'"),
+        (["a2", "lattice-check", "--bound=-1,2"], "argument --bound: must be non-negative, got '-1'"),
+        (["a2", "lattice-check", "--bound", "4"], "argument --bound: expected two integers m1,m2, got '4'"),
+        (["a2", "lattice-check", "--bound", "4,x"], "argument --bound: invalid int value: 'x'"),
+        (["a2", "lattice-check", "--base", "=3"], "argument --base: expected letter=value, got '=3'"),
+        (["kms-check", "--max-path-len", "-1", "FIG", "FIG"], "argument --max-path-len: must be non-negative, got '-1'"),
     ],
 )
 def test_bad_options_exit_2(capsys, figb_file, argv, message):

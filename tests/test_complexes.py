@@ -109,9 +109,3 @@ def test_roundtrip_serialization(figb):
     again = build_complex(json.loads(json.dumps(complex_to_dict(figb))))
     assert again == figb
 
-
-def test_face_cycle_comparison():
-    c = build_complex(FIG_B_SPEC)
-    f = c.faces[0]
-    assert ("b", "c", "d", "a") in f.rotations()
-    assert ("a", "d", "c", "b") not in f.rotations()  # no reflections

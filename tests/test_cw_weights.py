@@ -19,12 +19,7 @@ from cwkms.cwweights import (
 )
 from cwkms.errors import CWKMSError, InputError, MissingValue, ModeError, NonTriangularFace
 from cwkms.exact import AlgebraicScalar, Poly, isolate_positive_roots
-from cwkms.fixtures import (
-    fig_b_standard_weight,
-    fig_b_tight_weight,
-    fig_b_two_parameter_weight,
-    monogon_triangle_spec,
-)
+from cwkms.fixtures import monogon_triangle_spec
 from cwkms.graphs import build_graph
 from cwkms.pathalgebra import all_monomials, functional_from_graph_weight, functional_from_rank2, kms_check
 from cwkms.solver import (
@@ -35,6 +30,8 @@ from cwkms.solver import (
     solve_special_weights,
     verify_graph_weight,
 )
+
+from .conftest import fig_b_standard_weight, fig_b_tight_weight, fig_b_two_parameter_weight
 
 TOL = F(1, 10**10)
 
@@ -289,8 +286,8 @@ class TestTriangular:
         fams = solve_triangular_special(gamma_complex)
         assert len(fams) == 1
         fam = fams[0]
-        assert fam.eta.equals_rational(F(1, 3))
-        assert all(v == F(1, 7) for v in fam.lam.values())
+        assert fam.eta.rational == F(1, 3)
+        assert all(v == F(1, 7) for v in fam.weight.lam.values())
         assert fam.free_parameters == ["g"]
         rep = verify_triangular(gamma_complex, fam.weight, 0)
         assert rep.passed and rep.max_residual == 0.0
@@ -340,8 +337,8 @@ class TestTriangular:
         fams = solve_triangular_special(c)
         assert len(fams) == 1
         fam = fams[0]
-        assert fam.eta.equals_rational(1)
-        assert all(v == F(1, 3) for v in fam.lam.values())
+        assert fam.eta.rational == 1
+        assert all(v == F(1, 3) for v in fam.weight.lam.values())
         assert fam.det == Poly.from_ints([-1, 0, 0, 1]) or fam.det == Poly.from_ints([1, 0, 0, -1])
 
     def test_gamma_tightness_residuals_reported(self, gamma_complex):

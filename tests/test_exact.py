@@ -158,12 +158,12 @@ class TestIsolation:
         )
         roots = isolate_positive_roots(p)
         assert len(roots) == 2
-        assert roots[0].equals_rational(F(1, 3))
+        assert roots[0].rational == F(1, 3)
         assert abs(roots[1].to_float() - 2 ** -0.5) < 1e-13
 
     def test_linear(self):
         roots = isolate_positive_roots(Poly.from_ints([-1, 1]))
-        assert len(roots) == 1 and roots[0].equals_rational(1)
+        assert len(roots) == 1 and roots[0].rational == 1
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
@@ -174,7 +174,7 @@ class TestIsolation:
 
     def test_root_at_zero_is_excluded(self):
         roots = isolate_positive_roots(Poly.from_ints([0, 0, -1, 1]))  # x^2(x-1)
-        assert len(roots) == 1 and roots[0].equals_rational(1)
+        assert len(roots) == 1 and roots[0].rational == 1
 
     def test_rational_roots_with_large_coefficients(self):
         # (3^13 x - 1)(x^2 - 2)(5x - 7): both rational roots are found, and

@@ -17,13 +17,13 @@ from .conftest import random_graph
 
 def test_single_loop():
     g = build_graph({"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]})
-    assert g.vertex_count == 1 and g.edge_count == 1
+    assert len(g.vertices) == 1 and len(g.edges) == 1
     assert adjacency_counts(g) == [[1]]
 
 
 def test_figb_skeleton_counts():
     g = build_graph(FIG_B_SPEC)
-    assert g.vertex_count == 5 and g.edge_count == 6
+    assert len(g.vertices) == 5 and len(g.edges) == 6
     # six unit entries at the prescribed positions, in vertex order u,x,y,v,z
     idx = {v: i for i, v in enumerate(g.vertices)}
     m = adjacency_counts(g)
@@ -69,7 +69,7 @@ def test_bundle_sizes_sum_to_edge_count():
     rng = random.Random(5)
     for _ in range(25):
         g = random_graph(rng)
-        assert sum(len(edge_bundle(g, v)) for v in g.vertices) == g.edge_count
+        assert sum(len(edge_bundle(g, v)) for v in g.vertices) == len(g.edges)
 
 
 def test_adjacency_row_sums_equal_bundle_sizes():

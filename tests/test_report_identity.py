@@ -32,9 +32,11 @@ from cwkms.exact import (
     scalar_abs_leq,
     scalar_sign,
 )
-from cwkms.fixtures import FIG_B_SPEC, fig_b_standard_weight
+from cwkms.fixtures import FIG_B_SPEC
 from cwkms.solver import DEFAULT_TOL
 from cwkms.splicing import build_amalgam, splice_cw_weights
+
+from .conftest import fig_b_standard_weight
 
 # ---------------------------------------------------------------------------
 # References: term-by-term residuals, every value decided by its sign
