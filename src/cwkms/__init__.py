@@ -6,6 +6,12 @@ verifiers and solvers, path-monomial functionals with the equilibrium
 identity checker, weight splicing over amalgams, and the rank-2 building
 constructions (projective planes, triangle presentations, sector graphs,
 shape-lattice weights).
+
+The package keeps what the CLI, a golden case or a benchmark workload runs,
+what the README's "Library" list documents, and the paper's objects: the
+path monomials and their products, the flow at t = +-i, ``fano_plane`` and
+``adjacency_counts``.  Every export below is run by a golden case or listed
+there (``tests/test_src_names.py``).
 """
 
 from .buildings import (
@@ -34,7 +40,7 @@ from .cwweights import (
     verify_triangular,
 )
 from .exact import AlgebraicScalar, NumberField, Poly, isolate_positive_roots
-from .graphs import DirectedGraph, EdgeBundle, adjacency_counts, build_graph, edge_bundle
+from .graphs import DirectedGraph, adjacency_counts, build_graph
 from .pathalgebra import (
     PathMonomial,
     Rank2Monomial,

@@ -3,13 +3,14 @@ presentations, their quotient complexes, sector graphs, and the shape-lattice
 weight law.
 
 The sector graphs live on the incident point-line pairs of the plane.  The
-exact incidence rule that picks the successor pair is geometric in origin and
-not uniquely pinned down by combinatorics alone, so it is pluggable: the
-default rule determines the new pair through the join of the current triple's
-third generator with the chosen new point (and dually through line meets in
-the reverse direction).  Whatever the rule, the cardinality contract (out
-degree exactly q^2) is enforced and its violation raises AmbiguousSector
-rather than silently producing a defective graph.
+successor pair is determined through the join of the current triple's third
+generator with the chosen new point, and dually through line meets in the
+reverse direction (``_plus_targets``, ``_minus_targets``).  The cardinality
+contract (out degree exactly q^2) is enforced, and its violation raises
+AmbiguousSector rather than silently producing a defective graph.
+
+The shape-lattice weights are exact: base values are read by
+``parse_scalar`` and the decay law is rational.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from .complexes import Oriented2Complex, build_complex
 from .errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
-from .exact import scalar_sign
+from .exact import parse_scalar
 from .graphs import DirectedGraph, build_graph, spec_ids, spec_int, spec_list, spec_object
 from .solver import SpecialWeightFamily, solve_special_weights
 
@@ -185,50 +186,45 @@ def _pair_id(a: str, b: str) -> str:
     return f"{a}|{b}"
 
 
-class TripleJoinSectorRule:
-    """Default successor rule for the sector graphs.
-
-    Forward direction: from (a, b), with x the third generator of the triple
+def _plus_targets(tp: TrianglePresentation, a: str, b: str) -> list[tuple[str, str]]:
+    """Forward successors of (a, b): with x the third generator of the triple
     through (a, b), each admissible new point d (off the line of b) selects
-    the unique c whose line joins x and d.  Reverse direction, dually: each
-    admissible new point c (with a off the line of c) selects d as the meet
-    of the lines of c and x.
-    """
-
-    name = "triple-join"
-
-    def plus_targets(self, tp: TrianglePresentation, a: str, b: str) -> list[tuple[str, str]]:
-        x = tp.third(a, b)
-        plane = tp.plane
-        line_to_point = {tp.line_of[p]: p for p in plane.points}
-        out = []
-        for d in plane.points:
-            if d in tp.line_of[b]:
-                continue
-            if d == x:
-                raise AmbiguousSector(f"degenerate choice d == x for pair ({a},{b})", vertex=(a, b))
-            line = plane.join(x, d)
-            c = line_to_point.get(line)
-            if c is None:
-                raise AmbiguousSector(f"no generator with line through {x!r} and {d!r}", vertex=(a, b))
-            out.append((c, d))
-        return out
-
-    def minus_targets(self, tp: TrianglePresentation, a: str, b: str) -> list[tuple[str, str]]:
-        x = tp.third(a, b)
-        plane = tp.plane
-        out = []
-        for c in plane.points:
-            if a in tp.line_of[c]:
-                continue
-            if c == x:
-                raise AmbiguousSector(f"degenerate choice c == x for pair ({a},{b})", vertex=(a, b))
-            d = plane.meet(tp.line_of[c], tp.line_of[x])
-            out.append((c, d))
-        return out
+    the unique c whose line joins x and d."""
+    x = tp.third(a, b)
+    plane = tp.plane
+    line_to_point = {tp.line_of[p]: p for p in plane.points}
+    out = []
+    for d in plane.points:
+        if d in tp.line_of[b]:
+            continue
+        if d == x:
+            raise AmbiguousSector(f"degenerate choice d == x for pair ({a},{b})", vertex=(a, b))
+        line = plane.join(x, d)
+        c = line_to_point.get(line)
+        if c is None:
+            raise AmbiguousSector(f"no generator with line through {x!r} and {d!r}", vertex=(a, b))
+        out.append((c, d))
+    return out
 
 
-def sector_graphs(tp: TrianglePresentation, rule=None) -> tuple[DirectedGraph, DirectedGraph]:
+def _minus_targets(tp: TrianglePresentation, a: str, b: str) -> list[tuple[str, str]]:
+    """Reverse successors of (a, b), dually: each admissible new point c
+    (with a off the line of c) selects d as the meet of the lines of c and
+    of x, the third generator of the triple through (a, b)."""
+    x = tp.third(a, b)
+    plane = tp.plane
+    out = []
+    for c in plane.points:
+        if a in tp.line_of[c]:
+            continue
+        if c == x:
+            raise AmbiguousSector(f"degenerate choice c == x for pair ({a},{b})", vertex=(a, b))
+        d = plane.meet(tp.line_of[c], tp.line_of[x])
+        out.append((c, d))
+    return out
+
+
+def sector_graphs(tp: TrianglePresentation) -> tuple[DirectedGraph, DirectedGraph]:
     """Build the forward and reverse sector graphs on the incident pairs.
 
     Both graphs are validated against the cardinality contract: exactly q^2
@@ -236,12 +232,11 @@ def sector_graphs(tp: TrianglePresentation, rule=None) -> tuple[DirectedGraph, D
     raise AmbiguousSector with the failing pair in the payload.
     """
     tp.validate()
-    rule = rule or TripleJoinSectorRule()
     pairs = tp.incident_pairs()
     q2 = tp.plane.q ** 2
     pair_set = set(pairs)
     graphs = []
-    for direction, targets_of in (("plus", rule.plus_targets), ("minus", rule.minus_targets)):
+    for direction, targets_of in (("plus", _plus_targets), ("minus", _minus_targets)):
         edges = []
         for (a, b) in pairs:
             targets = targets_of(tp, a, b)
@@ -308,21 +303,6 @@ def matched_weight_search(gplus: DirectedGraph, gminus: DirectedGraph) -> list[M
 # Shape-lattice weights
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ShapeLattice:
-    """Truncated grid of parallelogram shapes (m1, m2) with q^2-fold
-    branching per direction: every node of shape m has q^2 children of shape
-    m + e_i in direction i, all sharing the node's base letter."""
-
-    q: int
-    bound: tuple[int, int]
-    weights: dict  # (letter, m1, m2) -> scalar
-
-    @property
-    def branching(self) -> int:
-        return self.q * self.q
-
-
 def decay_law(q: int):
     """The balanced solution law: each unit shape step divides the weight by
     the branching factor q^2, so a node equals the sum of its children."""
@@ -338,9 +318,8 @@ def decay_law(q: int):
 class LatticeReport:
     passed: bool
     max_residual: float
-    residuals: dict
-    lattice: ShapeLattice
-    exact: bool
+    residuals: dict  # (letter, m1, m2, direction) -> exact residual
+    weights: dict  # (letter, m1, m2) -> exact weight
 
     def to_dict(self) -> dict:
         return {
@@ -349,53 +328,47 @@ class LatticeReport:
             "residuals": {
                 f"{k[0]},{k[1]},{k[2]},dir{k[3]}": str(v) for k, v in self.residuals.items()
             },
-            "exact": self.exact,
+            "exact": True,
         }
 
 
-def lattice_weight_check(q: int, bound: tuple[int, int], base: dict, law=None) -> LatticeReport:
-    """Instantiate weights on the truncated shape lattice and verify the
-    branching equation g(u) = sum of g over the q^2 children, in both
-    directions, at every node whose children stay inside the bound.
+def lattice_weight_check(q: int, bound: tuple[int, int], base: dict) -> LatticeReport:
+    """Instantiate weights on the truncated grid of parallelogram shapes
+    (m1, m2) <= bound under the balanced law and verify the branching
+    equation g(u) = sum of g over the q^2 children of shape m + e_i, all
+    sharing u's base letter, in both directions, at every node whose
+    children stay inside the bound.
 
-    ``base`` gives the positive value at each base letter; ``law`` maps a
-    shape to its decay multiplier and defaults to the balanced law.
+    ``base`` gives the positive value at each base letter, read by
+    ``parse_scalar``, so every residual is exact.
     """
     if q < 1:
         raise InputError("q must be positive")
     if min(bound) < 0:
         raise InputError(f"bound must be non-negative, got {bound}")
     m1max, m2max = bound
-    lawf = law or decay_law(q)
+    law = decay_law(q)
+    base = {letter: parse_scalar(v) for letter, v in base.items()}
     for letter, v in base.items():
-        if scalar_sign(v) <= 0:
+        if v <= 0:
             raise NonpositiveBase(f"base value for {letter!r} must be positive")
     weights = {}
     for letter, v in base.items():
         for m1 in range(m1max + 1):
             for m2 in range(m2max + 1):
-                weights[(letter, m1, m2)] = v * lawf(m1, m2)
-    lattice = ShapeLattice(q, bound, weights)
-    branch = lattice.branching
+                weights[(letter, m1, m2)] = v * law(m1, m2)
     residuals = {}
-    exact = True
     for (letter, m1, m2), val in weights.items():
         for direction, (c1, c2) in ((1, (m1 + 1, m2)), (2, (m1, m2 + 1))):
             if c1 > m1max or c2 > m2max:
                 continue
             child = weights[(letter, c1, c2)]
-            r = val - branch * child
-            if isinstance(r, float):
-                exact = False
-            residuals[(letter, m1, m2, direction)] = r
+            residuals[(letter, m1, m2, direction)] = val - q * q * child
     maxr = max((abs(float(r)) for r in residuals.values()), default=0.0)
-    passed = all(
-        (r == 0 if not isinstance(r, float) else abs(r) <= 1e-12) for r in residuals.values()
-    )
+    passed = all(r == 0 for r in residuals.values())
     return LatticeReport(
         passed=passed,
         max_residual=maxr,
         residuals=residuals,
-        lattice=lattice,
-        exact=exact,
+        weights=weights,
     )

@@ -31,7 +31,7 @@ from .cwweights import (
     weight_from_dict,
 )
 from .errors import AmbiguousSector, CWKMSError, InputError
-from .exact import AlgebraicScalar, decimal, format_scalar, parse_scalar
+from .exact import AlgebraicScalar, decimal, format_scalar
 from .graphs import build_graph, graph_to_dict
 from .pathalgebra import (
     Rank2Monomial,
@@ -170,7 +170,7 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_boundary_graph(args) -> int:
-    data, digest = _load_json(args.input)
+    data, _ = _load_json(args.input)
     c = build_complex(data)
     bg = boundary_graph(c)
     out = graph_to_dict(bg.graph)
@@ -333,7 +333,7 @@ def cmd_splice(args) -> int:
         weights[pname] = weight_from_dict(wdata, MODE_STANDARD)
         if not isinstance(weights[pname], Rank2Weight):
             raise InputError(f"piece {pname!r}: splice takes rank-2 weights")
-    spliced = splice_cw_weights(am, weights)
+    spliced = splice_cw_weights(am, weights, args.tol)
     rep = verify_rank2(am.foundation, spliced, args.tol)
     out = {
         "command": "splice",
@@ -360,51 +360,53 @@ def _load_presentation(ref: str):
     return buildings.presentation_from_spec(data), digest
 
 
-def cmd_a2(args) -> int:
-    if args.a2_command == "complex":
-        tp, digest = _load_presentation(args.presentation)
-        c = buildings.presentation_complex(tp)
-        print(json.dumps(complex_to_dict(c), indent=2, sort_keys=True))
-        return EXIT_OK
-    if args.a2_command == "sectors":
-        tp, digest = _load_presentation(args.presentation)
-        try:
-            gp, gm = buildings.sector_graphs(tp)
-        except AmbiguousSector as exc:
-            out = {
-                "command": "a2 sectors",
-                "status": "ambiguous",
-                "diagnosis": str(exc),
-                "vertex": list(exc.vertex) if exc.vertex else None,
-            }
-            _emit(out, args.format)
-            return EXIT_FAIL
+def cmd_a2_complex(args) -> int:
+    tp, _ = _load_presentation(args.presentation)
+    c = buildings.presentation_complex(tp)
+    print(json.dumps(complex_to_dict(c), indent=2, sort_keys=True))
+    return EXIT_OK
+
+
+def cmd_a2_sectors(args) -> int:
+    tp, digest = _load_presentation(args.presentation)
+    try:
+        gp, gm = buildings.sector_graphs(tp)
+    except AmbiguousSector as exc:
         out = {
             "command": "a2 sectors",
-            "input": digest,
-            "plus": graph_to_dict(gp),
-            "minus": graph_to_dict(gm),
+            "status": "ambiguous",
+            "diagnosis": str(exc),
+            "vertex": list(exc.vertex) if exc.vertex else None,
         }
-        if args.matched:
-            pairs = buildings.matched_weight_search(gp, gm)
-            out["matched_pairs"] = [
-                {
-                    "lambda_plus": _scalar_json(p.plus.eta),
-                    "lambda_minus": _scalar_json(p.minus.eta),
-                    "scale": decimal(p.scale),
-                    "psi_sample": decimal(next(iter(p.psi_values.values()))),
-                }
-                for p in pairs
-            ]
         _emit(out, args.format)
-        return EXIT_OK
-    if args.a2_command == "lattice-check":
-        base = {k: parse_scalar(v) for k, v in args.base or [("o", "1")]}
-        rep = buildings.lattice_weight_check(args.q, args.bound, base)
-        out = {"command": "a2 lattice-check", "report": rep.to_dict()}
-        _emit(out, args.format)
-        return EXIT_OK if rep.passed else EXIT_FAIL
-    raise InputError(f"unknown a2 subcommand {args.a2_command!r}")
+        return EXIT_FAIL
+    out = {
+        "command": "a2 sectors",
+        "input": digest,
+        "plus": graph_to_dict(gp),
+        "minus": graph_to_dict(gm),
+    }
+    if args.matched:
+        pairs = buildings.matched_weight_search(gp, gm)
+        out["matched_pairs"] = [
+            {
+                "lambda_plus": _scalar_json(p.plus.eta),
+                "lambda_minus": _scalar_json(p.minus.eta),
+                "scale": decimal(p.scale),
+                "psi_sample": decimal(next(iter(p.psi_values.values()))),
+            }
+            for p in pairs
+        ]
+    _emit(out, args.format)
+    return EXIT_OK
+
+
+def cmd_a2_lattice_check(args) -> int:
+    base = dict(args.base or [("o", "1")])
+    rep = buildings.lattice_weight_check(args.q, args.bound, base)
+    out = {"command": "a2 lattice-check", "report": rep.to_dict()}
+    _emit(out, args.format)
+    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +467,16 @@ def _build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="a2_command", required=True)
     pc = asub.add_parser("complex")
     pc.add_argument("presentation")
+    pc.set_defaults(func=cmd_a2_complex)
     ps = asub.add_parser("sectors")
     ps.add_argument("presentation")
     ps.add_argument("--matched", action="store_true")
+    ps.set_defaults(func=cmd_a2_sectors)
     pl = asub.add_parser("lattice-check")
     pl.add_argument("--q", type=int, default=2)
     pl.add_argument("--bound", type=count_pair, default="4,4")
     pl.add_argument("--base", type=base_item, action="append", help="letter=value, repeatable")
-    p.set_defaults(func=cmd_a2)
+    pl.set_defaults(func=cmd_a2_lattice_check)
 
     return ap
 
@@ -488,7 +492,7 @@ def main(argv=None) -> int:
             return EXIT_FAIL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

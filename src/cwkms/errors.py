@@ -22,10 +22,6 @@ class DanglingEndpoint(InputError):
     pass
 
 
-class UnknownVertex(InputError):
-    pass
-
-
 class UnknownEdge(InputError):
     pass
 

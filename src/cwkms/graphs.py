@@ -1,15 +1,15 @@
 """Finite directed multigraphs with stable vertex and edge order.
 
-Graphs are immutable after construction and every derived object (bundles,
-adjacency matrices, reports) uses the insertion order of the input, so
-repeated runs produce identical output.
+Graphs are immutable after construction and every derived object (out-edge
+lists, adjacency matrices, reports) uses the insertion order of the input,
+so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DanglingEndpoint, DuplicateId, InputError, UnknownVertex
+from .errors import DanglingEndpoint, DuplicateId, InputError
 
 
 @dataclass(frozen=True)
@@ -17,17 +17,6 @@ class Edge:
     id: str
     src: str
     dst: str
-
-
-@dataclass(frozen=True)
-class EdgeBundle:
-    """The set of edges leaving one vertex; empty exactly at sinks."""
-
-    vertex: str
-    edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -46,9 +35,6 @@ class DirectedGraph:
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vset
-
-    def edge(self, eid: str) -> Edge:
-        return self._edge_by_id[eid]
 
     def has_edge(self, eid: str) -> bool:
         return eid in self._edge_by_id
@@ -135,13 +121,6 @@ def spec_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {type(value).__name__}")
     return value
-
-
-def edge_bundle(graph: DirectedGraph, v: str) -> EdgeBundle:
-    """Outgoing edges of ``v``; raises UnknownVertex for foreign ids."""
-    if not graph.has_vertex(v):
-        raise UnknownVertex(f"vertex {v!r} not in graph")
-    return EdgeBundle(v, graph.out_edges(v))
 
 
 def adjacency_counts(graph: DirectedGraph) -> list[list[int]]:

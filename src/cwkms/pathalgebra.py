@@ -10,11 +10,12 @@ The functional induced by a graph weight is diagonal:
 
     psi(S_mu S_nu*) = delta(mu, nu) * lam(nu_1) ... lam(nu_n) * g(dst(nu))
 
-and the modular flow scales a monomial by (lam(mu)/lam(nu))^(i t).  At the
-imaginary times t = +-i used by the equilibrium identity the factor is the
-exact real ratio.  The identity and the gauge condition are decided exactly,
-on values read off reduced words: no float enters a pass or fail decision
-unless the weights themselves are floats.
+and the modular flow scales a monomial by (lam(mu)/lam(nu))^(i t).  The flow
+is evaluated only at imaginary integer times t = s*i, the t = +-i of the
+equilibrium identity among them, where the factor is the exact real
+(lam(mu)/lam(nu))^(-s).  The identity and the gauge condition are decided
+exactly, on values read off reduced words: no float enters a pass or fail
+decision unless the weights themselves are floats.
 
 Rank 2 monomials are pairs of a skeleton monomial and a boundary-graph
 monomial; their functional is the product of the two induced functionals,
@@ -23,8 +24,6 @@ with the boundary graph carrying (lam, eta o face) as its weight.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,9 +42,6 @@ class Path:
 
     src: str
     edges: tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def make_path(graph: DirectedGraph, edges, src: str | None = None) -> Path:
@@ -208,9 +204,6 @@ class WeightFunctional:
             acc = v if acc is None else acc * v
         return acc if acc is not None else Fraction(1)
 
-    def __call__(self, m: PathMonomial):
-        return self.eval(m)
-
     def eval(self, m: PathMonomial):
         return self._value(m, m.mu, m.nu, m.coeff)
 
@@ -237,8 +230,8 @@ class WeightFunctional:
         self._equal_graphs[id(g)] = g
 
     def evolve(self, m: PathMonomial, t, checked: set | None = None) -> PathMonomial:
-        """Apply sigma_t; ``t`` may be real or purely imaginary (s*1j with
-        integer s keeps exact coefficients).  The edges in ``checked`` (see
+        """Apply sigma_t at t = 0 or t = s*1j with integer s, exactly; any
+        other t is an InputError.  The edges in ``checked`` (see
         ``check_positive``) are not checked again."""
         self.check_positive(m, set() if checked is None else checked)
         return m.scaled(_power_it(self.lam_of_path(m.mu) / self.lam_of_path(m.nu), t))
@@ -253,20 +246,16 @@ class WeightFunctional:
 
 
 def _power_it(ratio, t):
-    """(ratio)^(i t) for positive ratio: exact for t = s*1j with integer s,
-    numeric otherwise."""
-    if t == 0:
-        return 1
+    """(ratio)^(i t) = ratio^(-s) for positive ratio and t = s*1j with
+    integer s (t = 0 included)."""
     tc = complex(t)
-    if tc.real == 0:
-        s = tc.imag
-        if s == int(s):
-            n = -int(s)  # (r)^(i * i s) = r^(-s)
-            out = 1
-            for _ in range(abs(n)):
-                out = out * ratio
-            return out if n >= 0 else 1 / out
-    return cmath.exp(1j * tc * math.log(float(ratio)))
+    if tc.real != 0 or not tc.imag.is_integer():
+        raise InputError(f"the flow is evaluated only at t = s*1j with integer s, got {t!r}")
+    n = -int(tc.imag)
+    out = 1
+    for _ in range(abs(n)):
+        out = out * ratio
+    return out if n >= 0 else 1 / out
 
 
 @dataclass
@@ -278,9 +267,6 @@ class Rank2Functional:
     skeleton: WeightFunctional
     boundary: WeightFunctional
     beta_sign: int = -1
-
-    def __call__(self, m: Rank2Monomial):
-        return self.eval(m)
 
     def eval(self, m: Rank2Monomial):
         v1 = self.skeleton.eval(m.skeleton_part)

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from cwkms import buildings
 from cwkms.buildings import (
-    TripleJoinSectorRule,
     fano_plane,
     lattice_weight_check,
     matched_weight_search,
@@ -118,13 +118,12 @@ class TestSectorGraphs:
             got = [(round(f.eta.to_float(), 12), f.kernel.status) for f in rep.families]
             assert got == [(0.25, "positive"), (0.5, "none"), (round(2 ** -0.5, 12), "none")]
 
-    def test_rule_reports_ambiguity(self, gamma_presentation):
-        class BrokenRule(TripleJoinSectorRule):
-            def plus_targets(self, tp, a, b):
-                return super().plus_targets(tp, a, b)[:-1]  # drop one target
-
+    def test_rule_reports_ambiguity(self, gamma_presentation, monkeypatch):
+        plus_targets = buildings._plus_targets
+        # drop one target
+        monkeypatch.setattr(buildings, "_plus_targets", lambda tp, a, b: plus_targets(tp, a, b)[:-1])
         with pytest.raises(AmbiguousSector) as err:
-            sector_graphs(gamma_presentation, rule=BrokenRule())
+            sector_graphs(gamma_presentation)
         assert err.value.vertex is not None
 
 
@@ -174,7 +173,7 @@ class TestMatchedSearch:
 class TestShapeLattice:
     def test_balanced_law_exact_zero(self):
         rep = lattice_weight_check(2, (4, 4), {"a": F(1), "b": F(3, 7)})
-        assert rep.passed and rep.exact
+        assert rep.passed
         assert rep.max_residual == 0.0
         assert all(r == 0 for r in rep.residuals.values())
 
@@ -184,11 +183,12 @@ class TestShapeLattice:
 
     def test_branching_factor(self):
         rep = lattice_weight_check(3, (2, 2), {"a": F(1)})
-        assert rep.lattice.branching == 9
+        assert rep.weights[("a", 1, 0)] == rep.weights[("a", 0, 1)] == F(1, 9)
         assert rep.passed
 
-    def test_direction_one_only_law_fails_direction_two(self):
-        rep = lattice_weight_check(2, (3, 3), {"a": F(1)}, law=lambda m1, m2: F(1, 4) ** m1)
+    def test_direction_one_only_law_fails_direction_two(self, monkeypatch):
+        monkeypatch.setattr(buildings, "decay_law", lambda q: lambda m1, m2: F(1, q * q) ** m1)
+        rep = lattice_weight_check(2, (3, 3), {"a": F(1)})
         assert not rep.passed
         dir1 = [r for (_, _, _, d), r in rep.residuals.items() if d == 1]
         dir2 = [r for (_, _, _, d), r in rep.residuals.items() if d == 2]
@@ -207,5 +207,5 @@ class TestShapeLattice:
 
     def test_weights_table_shape(self):
         rep = lattice_weight_check(2, (2, 2), {"a": F(1)})
-        assert ("a", 0, 0) in rep.lattice.weights
-        assert rep.lattice.weights[("a", 1, 1)] == F(1, 16)
+        assert ("a", 0, 0) in rep.weights
+        assert rep.weights[("a", 1, 1)] == F(1, 16)

@@ -215,6 +215,8 @@ GAMMA_GRAPH = json.loads((INPUTS / "gamma-graph.json").read_text())
         ("verify", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
         ("verify", GAMMA_SPEC, {**GAMMA_TRIANGULAR, "tight": "false"}, "field 'tight' must be a JSON boolean"),
         ("verify", GAMMA_SPEC, {**GAMMA_GRAPH, "g": {"v": True}}, "not a finite rational value: True"),
+        # each value fits a float, the residual 1e200 - 7e400 does not
+        ("verify", GAMMA_SPEC, {k: dict.fromkeys(v, "1e200") for k, v in GAMMA_GRAPH.items()}, "too large for a float"),
         ("kms-check", FIG_B_SPEC, {"g": [1, 2], "lambda": {}}, "field 'g' must be a JSON object"),
         ("kms-check", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
         ("kms-check", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
@@ -246,6 +248,21 @@ def test_top_level_list_object_exits_2(capsys, tmp_path, command):
     code, out, err = run(capsys, *command, str(p))
     assert (code, out) == (2, "")
     assert "expected a JSON object" in err
+
+
+def test_splice_tol_reaches_the_piece_checks(capsys, tmp_path):
+    wd = tmp_path / "weights"
+    wd.mkdir()
+    for name in ("p1", "p2"):
+        w = json.loads((INPUTS / "weights" / f"{name}.json").read_text())
+        if name == "p1":
+            w["g"]["v"] = str(F(w["g"]["v"]) + F(1, 10**6))
+        (wd / f"{name}.json").write_text(json.dumps(w))
+    argv = ["splice", str(INPUTS / "figB-double.json"), "--weights", str(wd)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "piece 'p1': weight fails verification (max residual 1e-06)" in err
+    code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+    assert code == 0 and json.loads(out)["verification"]["passed"] is True
 
 
 def test_splice_rejects_graph_piece_weights(capsys, tmp_path):

@@ -7,9 +7,9 @@ import pytest
 
 from cwkms.buildings import presentation_from_spec
 from cwkms.complexes import build_complex
-from cwkms.errors import DanglingEndpoint, DuplicateId, InputError, UnknownVertex
+from cwkms.errors import DanglingEndpoint, DuplicateId, InputError
 from cwkms.fixtures import FIG_B_SPEC
-from cwkms.graphs import adjacency_counts, build_graph, edge_bundle, graph_to_dict
+from cwkms.graphs import adjacency_counts, build_graph, graph_to_dict
 from cwkms.splicing import build_amalgam
 
 from .conftest import random_graph
@@ -53,23 +53,20 @@ def test_duplicate_ids_rejected():
 
 def test_edge_bundles_on_figb():
     g = build_graph(FIG_B_SPEC)
-    assert set(edge_bundle(g, "u").edges) == {"a", "e"}
-    assert edge_bundle(g, "x").edges == ("b",)
-    with pytest.raises(UnknownVertex):
-        edge_bundle(g, "nope")
+    assert set(g.out_edges("u")) == {"a", "e"}
+    assert g.out_edges("x") == ("b",)
 
 
 def test_sink_has_empty_bundle():
     g = build_graph({"vertices": ["w", "u"], "edges": [{"id": "e", "src": "u", "dst": "w"}]})
-    b = edge_bundle(g, "w")
-    assert len(b) == 0 and g.is_sink("w")
+    assert g.out_edges("w") == () and g.is_sink("w")
 
 
 def test_bundle_sizes_sum_to_edge_count():
     rng = random.Random(5)
     for _ in range(25):
         g = random_graph(rng)
-        assert sum(len(edge_bundle(g, v)) for v in g.vertices) == len(g.edges)
+        assert sum(len(g.out_edges(v)) for v in g.vertices) == len(g.edges)
 
 
 def test_adjacency_row_sums_equal_bundle_sizes():
@@ -78,7 +75,7 @@ def test_adjacency_row_sums_equal_bundle_sizes():
         g = random_graph(rng)
         m = adjacency_counts(g)
         for i, v in enumerate(g.vertices):
-            assert sum(m[i]) == len(edge_bundle(g, v))
+            assert sum(m[i]) == len(g.out_edges(v))
 
 
 def test_json_roundtrip_is_identity():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
-from cwkms.errors import GraphMismatch, NonpositiveWeight
+from cwkms.errors import GraphMismatch, InputError, NonpositiveWeight
 from cwkms.fixtures import FIG_B_SPEC
 from cwkms import pathalgebra
 from cwkms.graphs import build_graph
@@ -145,17 +145,14 @@ class TestWeightEval:
 class TestEvolve:
     def test_projection_fixed(self, boundary_psi, figb_boundary):
         p = vertex_projection(figb_boundary.graph, "a")
-        for t in (0.0, 1.0, -2.5, 1j, -1j):
+        for t in (0, 1j, -1j, 2j):
             assert boundary_psi.evolve(p, t).coeff == 1
 
-    def test_real_time_phase(self, boundary_psi, figb_boundary):
-        graph = figb_boundary.graph
-        se = edge_isometry(graph, "s1:0")
-        out = boundary_psi.evolve(se, 1.7)
-        import cmath
-
-        expected = cmath.exp(1j * 1.7 * cmath.log(ETA0))
-        assert abs(out.coeff - expected) < 1e-12
+    def test_time_off_the_imaginary_integers_rejected(self, boundary_psi, figb_boundary):
+        se = edge_isometry(figb_boundary.graph, "s1:0")
+        for t in (1.7, -0.37, 0.5j, 1 + 1j, complex("infj")):
+            with pytest.raises(InputError, match="only at t = s\\*1j"):
+                boundary_psi.evolve(se, t)
 
     def test_minus_i_gives_real_ratio(self, boundary_psi, figb_boundary):
         se = edge_isometry(figb_boundary.graph, "s1:0")
@@ -175,7 +172,7 @@ class TestEvolve:
         graph = figb_boundary.graph
         monos = all_monomials(graph, 2)
         rng = random.Random(3)
-        t = 0.37
+        t = 2j
         for _ in range(50):
             x, y = rng.choice(monos), rng.choice(monos)
             prod = monomial_product(x, y)
@@ -257,8 +254,8 @@ class TestGaugeAndConsistency:
     def test_paths_enumeration(self, figb):
         sk = figb.skeleton
         paths = all_paths(sk, 2)
-        assert sum(1 for p in paths if len(p) == 0) == 5
-        assert sum(1 for p in paths if len(p) == 1) == 6
+        assert sum(1 for p in paths if not p.edges) == 5
+        assert sum(1 for p in paths if len(p.edges) == 1) == 6
         for p in paths:
             if p.edges:
                 assert path_range(sk, p) == sk.dst(p.edges[-1])
@@ -495,24 +492,6 @@ class TestExactDecisions:
         monos = all_monomials(figb.skeleton, 1)
         rep = kms_check(psi, [(x, y) for x in monos for y in monos], tol=F(-1, 10**10))
         assert not rep.passed and rep.max_discrepancy == 0.0
-
-    def test_kms_check_never_takes_the_numeric_flow(self, kms_cases, monkeypatch, figb):
-        """t = +-i keeps _power_it on its exact branch for every case; the
-        cmath branch stays for real t."""
-        import cwkms.pathalgebra
-
-        class NoCmath:
-            @staticmethod
-            def exp(z):
-                raise AssertionError("numeric flow reached")
-
-        monkeypatch.setattr(cwkms.pathalgebra, "cmath", NoCmath)
-        for case in KMS_CASES:
-            psi, sample = kms_cases[case]
-            kms_check(psi, sample, TOL)
-        psi = functional_from_graph_weight(figb.skeleton, random_faithful_weight(random.Random(4), figb.skeleton))
-        with pytest.raises(AssertionError, match="numeric flow"):
-            psi.evolve(edge_isometry(figb.skeleton, "a"), 0.37)
 
     def test_gauge_flags_a_functional_nonzero_off_balance(self, figb):
         """A stub functional that is 1 on every monomial breaks gauge
