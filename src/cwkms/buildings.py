@@ -21,9 +21,9 @@ from functools import cached_property
 from itertools import combinations
 
 from .complexes import Oriented2Complex, build_complex
-from .errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
+from .errors import AmbiguousSector, InputError
 from .exact import parse_scalar
-from .graphs import DirectedGraph, build_graph, spec_ids, spec_int, spec_list, spec_object
+from .graphs import DirectedGraph, build_graph, spec_fields, spec_ids, spec_int, spec_list, spec_object
 from .solver import SpecialWeightFamily, solve_special_weights
 
 
@@ -93,18 +93,26 @@ class TrianglePresentation:
     triples: tuple[tuple[str, str, str], ...]
 
     def validate(self) -> None:
-        if set(self.line_of.keys()) != set(self.plane.points):
-            raise InvalidTriple("point-line map is not total")
+        for p in self.plane.points:
+            if p not in self.line_of:
+                raise InputError(f"point-line map is not total: no line for point {p!r}")
+        for p in self.line_of:
+            if p not in self.plane.points:
+                raise InputError(f"point-line map names unknown point {p!r}")
+        for t in self.triples:
+            for p in t:
+                if p not in self.plane.points:
+                    raise InputError(f"triple {t!r} names unknown point {p!r}")
         images = {self.line_of[p] for p in self.plane.points}
         if len(images) != len(self.plane.points):
-            raise InvalidTriple("point-line map is not a bijection")
+            raise InputError("point-line map is not a bijection")
         if not images <= set(self.plane.lines):
-            raise InvalidTriple("point-line map does not land in the plane's lines")
+            raise InputError("point-line map does not land in the plane's lines")
         for (x, y), thirds in self._thirds.items():
             if y not in self.line_of[x]:
-                raise InvalidTriple(f"triple ({x},{y},{min(thirds)}): {y!r} is not on the line of {x!r}")
+                raise InputError(f"triple ({x},{y},{min(thirds)}): {y!r} is not on the line of {x!r}")
             if len(thirds) > 1:
-                raise InvalidTriple(f"pair ({x},{y}) extends to two different triples")
+                raise InputError(f"pair ({x},{y}) extends to two different triples")
 
     @cached_property
     def _thirds(self) -> dict[tuple[str, str], set[str]]:
@@ -136,22 +144,22 @@ class TrianglePresentation:
 def presentation_from_spec(spec: dict) -> TrianglePresentation:
     """Parse the JSON presentation format: q, points, lines (point lists),
     lambda (point -> line index), triples."""
-    spec_object(spec, "presentation spec")
-    points = tuple(spec_ids(spec["points"], "points"))
-    lines = tuple(frozenset(spec_ids(line, "line")) for line in spec_list(spec["lines"], "lines"))
-    plane = IncidencePlane(points, lines, spec_int(spec["q"], "q"))
+    q, points, lines, lam, triples = spec_fields(
+        spec, "presentation spec", "q", "points", "lines", "lambda", "triples"
+    )
+    points = tuple(spec_ids(points, "points"))
+    lines = tuple(frozenset(spec_ids(line, "line")) for line in spec_list(lines, "lines"))
+    plane = IncidencePlane(points, lines, spec_int(q, "q"))
     plane.validate()
     line_of = {}
-    for p, idx in spec_object(spec["lambda"], "lambda").items():
+    for p, idx in spec_object(lam, "lambda").items():
         if not 0 <= spec_int(idx, f"lambda({p})") < len(lines):
             raise InputError(f"lambda({p}) = {idx} is not a line index")
         line_of[p] = lines[idx]
-    triples = []
-    for t in spec_list(spec["triples"], "triples"):
+    for t in spec_list(triples, "triples"):
         if len(spec_ids(t, "triple")) != 3:
-            raise InvalidTriple(f"triple {t!r} does not have three points")
-        triples.append(tuple(t))
-    tp = TrianglePresentation(plane, line_of, tuple(triples))
+            raise InputError(f"triple {t!r} does not have three points")
+    tp = TrianglePresentation(plane, line_of, tuple(map(tuple, triples)))
     tp.validate()
     return tp
 
@@ -351,7 +359,7 @@ def lattice_weight_check(q: int, bound: tuple[int, int], base: dict) -> LatticeR
     base = {letter: parse_scalar(v) for letter, v in base.items()}
     for letter, v in base.items():
         if v <= 0:
-            raise NonpositiveBase(f"base value for {letter!r} must be positive")
+            raise InputError(f"base value for {letter!r} must be positive")
     weights = {}
     for letter, v in base.items():
         for m1 in range(m1max + 1):

@@ -260,6 +260,8 @@ def cmd_verify(args) -> int:
     w = weight_from_dict(wdata, args.mode)
     if args.mode and not isinstance(w, Rank2Weight):
         raise InputError("verify --mode takes a rank-2 weight, not a graph or triangular one")
+    if args.boundary and isinstance(w, (Rank2Weight, TriangularWeight)):
+        raise InputError("verify --boundary takes a graph weight, not a rank-2 or triangular one")
     if isinstance(w, TriangularWeight):
         rep = asdict(verify_triangular(build_complex(obj), w, args.tol))
     elif isinstance(w, Rank2Weight):
@@ -284,6 +286,8 @@ def cmd_kms_check(args) -> int:
     if isinstance(w, TriangularWeight):
         raise InputError("kms-check takes a rank-2 or graph weight, not a triangular one")
     if isinstance(w, Rank2Weight):
+        if args.boundary:
+            raise InputError("kms-check --boundary takes a graph weight, not a rank-2 one")
         if "faces" not in obj:
             raise InputError("a rank-2 weight needs a complex, not a graph")
         c = build_complex(obj)
@@ -486,13 +490,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CWKMSError) as exc:
-        if isinstance(exc, AmbiguousSector):
-            print(f"ambiguous sector rule: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
+    except AmbiguousSector as exc:
+        print(f"ambiguous sector rule: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (CWKMSError, OSError, json.JSONDecodeError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import BrokenBoundaryWord, DuplicateId, UnknownEdge
-from .graphs import DirectedGraph, Edge, build_graph, graph_to_dict, spec_id, spec_ids, spec_list, spec_object
+from .errors import InputError
+from .graphs import DirectedGraph, Edge, build_graph, graph_to_dict, spec_fields, spec_id, spec_ids, spec_list
 
 
 class ShortFaceWarning(UserWarning):
@@ -58,22 +58,22 @@ def build_complex(spec: dict) -> Oriented2Complex:
     faces = []
     seen = set()
     for rec in spec_list(spec.get("faces", []), "faces"):
-        spec_object(rec, "face record")
-        fid = spec_id(rec["id"], "face id")
-        word = tuple(spec_ids(rec["boundary"], f"boundary of face {fid!r}"))
+        fid, word = spec_fields(rec, "face record", "id", "boundary")
+        spec_id(fid, "face id")
+        word = tuple(spec_ids(word, f"boundary of face {fid!r}"))
         if fid in seen:
-            raise DuplicateId(f"duplicate face id {fid!r}")
+            raise InputError(f"duplicate face id {fid!r}")
         seen.add(fid)
         if not word:
-            raise BrokenBoundaryWord(f"face {fid!r} has an empty boundary word")
+            raise InputError(f"face {fid!r} has an empty boundary word")
         for eid in word:
             if not skeleton.has_edge(eid):
-                raise UnknownEdge(f"face {fid!r} references unknown edge {eid!r}")
+                raise InputError(f"face {fid!r} references unknown edge {eid!r}")
         n = len(word)
         for i in range(n):
             e_cur, e_next = word[i], word[(i + 1) % n]
             if skeleton.dst(e_cur) != skeleton.src(e_next):
-                raise BrokenBoundaryWord(
+                raise InputError(
                     f"face {fid!r}: edge {e_cur!r} ends at {skeleton.dst(e_cur)!r} "
                     f"but {e_next!r} starts at {skeleton.src(e_next)!r}"
                 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import Oriented2Complex, boundary_graph, predecessor_graph
-from .errors import CWKMSError, InputError, MissingValue, ModeError, NonTriangularFace, ZeroDivisor
+from .errors import CWKMSError, InputError, ZeroDivisor
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -76,7 +76,7 @@ class Rank2Weight:
         try:
             return self.eta[fid]
         except KeyError:
-            raise MissingValue(f"no eta value for face {fid!r}") from None
+            raise InputError(f"no eta value for face {fid!r}") from None
 
     def is_total_on(self, c: Oriented2Complex) -> bool:
         sk = c.skeleton
@@ -133,7 +133,7 @@ class Rank2Report:
 def verify_rank2(c: Oriented2Complex, w: Rank2Weight, tol=DEFAULT_TOL) -> Rank2Report:
     """Check both weight equations plus the coupling demanded by the mode."""
     if not w.is_total_on(c):
-        raise MissingValue("rank-2 weight is not total on the complex")
+        raise InputError("rank-2 weight is not total on the complex")
     tol = as_tolerance(tol)
     sk_report = verify_graph_weight(c.skeleton, GraphWeight(w.g, w.lambda_tilde), tol)
     bres = boundary_weight_residuals(c, w.lam, w.eta_at)
@@ -188,7 +188,7 @@ def solve_2dcw(c: Oriented2Complex, mode: str = MODE_STANDARD) -> list[Rank2Fami
     quadruple to ``verify_rank2``).
     """
     if mode not in (MODE_STANDARD, MODE_TIGHT):
-        raise ModeError(f"unknown solve mode {mode!r}")
+        raise InputError(f"unknown solve mode {mode!r}")
     bg = boundary_graph(c)
     families: list[Rank2Family] = []
     if not bg.graph.edges:
@@ -388,7 +388,7 @@ class TriangularReport:
 def _require_triangular(c: Oriented2Complex) -> None:
     bad = [f.id for f in c.faces if len(f.boundary) != 3]
     if bad:
-        raise NonTriangularFace(f"faces {bad} are not triangles")
+        raise InputError(f"faces {bad} are not triangles")
 
 
 def verify_triangular(c: Oriented2Complex, w: TriangularWeight, tol=DEFAULT_TOL) -> TriangularReport:
@@ -489,7 +489,7 @@ def weight_from_dict(data, mode: str | None = None) -> TriangularWeight | Rank2W
     def values(key: str, required: bool = True) -> dict:
         if key not in data:
             if required:
-                raise MissingValue(f"weight file missing field {key!r}")
+                raise InputError(f"weight file missing field {key!r}")
             return {}
         if not isinstance(data[key], dict):
             raise InputError(f"weight file field {key!r} must be a JSON object")
@@ -509,10 +509,12 @@ def weight_from_dict(data, mode: str | None = None) -> TriangularWeight | Rank2W
     if "lambda_tilde" in data:
         mode = mode or data.get("mode", MODE_RANK2)
         if mode not in (MODE_RANK2, MODE_STANDARD, MODE_TIGHT):
-            raise ModeError(f"unknown rank-2 coupling mode {mode!r}")
+            raise InputError(f"unknown rank-2 coupling mode {mode!r}")
         eta_instances = {}
         for key, val in values("eta_instances", required=False).items():
-            fid, pos = key.rsplit(":", 1)
+            fid, sep, pos = key.rpartition(":")
+            if not (sep and pos.isdecimal()):
+                raise InputError(f"weight file field 'eta_instances': key {key!r} is not <face>:<position>")
             eta_instances[(fid, int(pos))] = val
         return Rank2Weight(
             g=values("g"),

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from math import isqrt, lcm
 
-from .errors import InputError, ZeroDivisor, ZeroPolynomial
+from .errors import InputError, ZeroDivisor
 
 
 def parse_scalar(x) -> Fraction:
@@ -455,7 +455,7 @@ def isolate_positive_roots(p: Poly) -> list[AlgebraicScalar]:
     irrational roots are refined to ``ROOT_WIDTH`` last.
     """
     if p.is_zero():
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+        raise InputError("cannot isolate roots of the zero polynomial")
     f = p.ints[0]
     f = f[next(i for i, v in enumerate(f) if v):]  # strip roots at zero
     if len(f) < 2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DanglingEndpoint, DuplicateId, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,19 @@ def build_graph(spec: dict) -> DirectedGraph:
     seen = set()
     for v in vertices:
         if v in seen:
-            raise DuplicateId(f"duplicate vertex id {v!r}")
+            raise InputError(f"duplicate vertex id {v!r}")
         seen.add(v)
     edges = []
     eseen = set()
     for rec in spec_list(spec.get("edges", []), "edges"):
-        spec_object(rec, "edge record")
-        eid, src, dst = spec_ids((rec["id"], rec["src"], rec["dst"]), "edge record")
+        eid, src, dst = spec_ids(spec_fields(rec, "edge record", "id", "src", "dst"), "edge record")
         if eid in eseen:
-            raise DuplicateId(f"duplicate edge id {eid!r}")
+            raise InputError(f"duplicate edge id {eid!r}")
         eseen.add(eid)
         if src not in seen:
-            raise DanglingEndpoint(f"edge {eid!r} has unknown source {src!r}")
+            raise InputError(f"edge {eid!r} has unknown source {src!r}")
         if dst not in seen:
-            raise DanglingEndpoint(f"edge {eid!r} has unknown target {dst!r}")
+            raise InputError(f"edge {eid!r} has unknown target {dst!r}")
         edges.append(Edge(eid, src, dst))
     labels = spec_object(spec.get("labels", {}), "labels")
     return DirectedGraph(tuple(vertices), tuple(edges), dict(labels))
@@ -95,6 +94,15 @@ def spec_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def spec_fields(record, what: str, *keys: str) -> tuple:
+    """The values of the required fields ``keys`` of a spec record."""
+    spec_object(record, what)
+    try:
+        return tuple(map(record.__getitem__, keys))
+    except KeyError as exc:
+        raise InputError(f"{what} has no field {exc.args[0]!r}") from None
 
 
 def spec_list(value, what: str) -> list:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .complexes import Oriented2Complex, boundary_graph
 from .cwweights import Rank2Weight
-from .errors import GraphMismatch, InputError, MissingValue, NonpositiveWeight
+from .errors import InputError
 from .exact import as_tolerance, scalar_abs_leq, scalar_sign
 from .graphs import DirectedGraph
 from .solver import DEFAULT_TOL, GraphWeight
@@ -136,7 +136,7 @@ def _reduce(a: PathMonomial, b: PathMonomial):
     (S_mu S_nu*)(S_alpha S_beta*) survives only if alpha extends nu or nu
     extends alpha, collapsing to S_(mu alpha') S_beta* or S_mu S_(beta nu')*."""
     if a.graph is not b.graph and a.graph != b.graph:
-        raise GraphMismatch("monomials over different graphs")
+        raise InputError("monomials over different graphs")
     nu, alpha = a.nu, b.mu
     meet = _meet(nu, alpha)
     if meet > 0:
@@ -226,7 +226,7 @@ class WeightFunctional:
         if g is self.graph or self._equal_graphs.get(id(g)) is g:
             return
         if g != self.graph:
-            raise GraphMismatch("monomial over a different graph")
+            raise InputError("monomial over a different graph")
         self._equal_graphs[id(g)] = g
 
     def evolve(self, m: PathMonomial, t, checked: set | None = None) -> PathMonomial:
@@ -237,11 +237,11 @@ class WeightFunctional:
         return m.scaled(_power_it(self.lam_of_path(m.mu) / self.lam_of_path(m.nu), t))
 
     def check_positive(self, m: PathMonomial, checked: set) -> None:
-        """Raise NonpositiveWeight unless lambda > 0 on the edges of ``m`` not in ``checked``."""
+        """Raise InputError unless lambda > 0 on the edges of ``m`` not in ``checked``."""
         for p in (m.mu, m.nu):
             for eid in p.edges:
                 if (id(self), eid) not in checked and scalar_sign(self.weight.lam[eid]) <= 0:
-                    raise NonpositiveWeight(f"lambda({eid}) must be positive for the flow")
+                    raise InputError(f"lambda({eid}) must be positive for the flow")
                 checked.add((id(self), eid))
 
 
@@ -298,13 +298,13 @@ class Rank2Functional:
 
 def functional_from_graph_weight(graph: DirectedGraph, w: GraphWeight, beta_sign: int = -1) -> WeightFunctional:
     if not w.is_total_on(graph):
-        raise MissingValue("weight is not total on the graph")
+        raise InputError("weight is not total on the graph")
     return WeightFunctional(graph, w, beta_sign)
 
 
 def functional_from_rank2(c: Oriented2Complex, w: Rank2Weight, beta_sign: int = -1) -> Rank2Functional:
     if not w.is_total_on(c):
-        raise MissingValue("rank-2 weight is not total on the complex")
+        raise InputError("rank-2 weight is not total on the complex")
     bg = boundary_graph(c)
     eta_edges = {eid: w.eta_at(fid, pos) for eid, (fid, pos) in bg.labels.items()}
     psi1 = WeightFunctional(c.skeleton, GraphWeight(dict(w.g), dict(w.lambda_tilde)), beta_sign)
@@ -354,9 +354,8 @@ def kms_check(psi, sample, tol=DEFAULT_TOL) -> KMSReport:
     y sigma(x) vanish together.  The memo is keyed by ``id(x)`` and holds
     every x, so an id cannot be reused while the call runs.  The sign of
     lambda is checked once per edge of the x's, ``evolve`` included, so a
-    non-positive lambda raises NonpositiveWeight as when each pair was
-    evolved on its own.  The worst pair is the first with the largest
-    |d| > 0.
+    non-positive lambda raises InputError as when each pair was evolved
+    on its own.  The worst pair is the first with the largest |d| > 0.
     """
     tol = as_tolerance(tol)
     worst = None

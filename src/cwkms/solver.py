@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import MissingValue, ZeroDivisor
+from .errors import InputError, ZeroDivisor
 from .exact import (
     AlgebraicScalar,
     FieldElement,
@@ -102,7 +102,7 @@ def verify_graph_weight(graph: DirectedGraph, w: GraphWeight, tol=DEFAULT_TOL) -
         missing = [v for v in graph.vertices if v not in w.g] + [
             e.id for e in graph.edges if e.id not in w.lam
         ]
-        raise MissingValue(f"weight not total on graph, missing {missing}")
+        raise InputError(f"weight not total on graph, missing {missing}")
     tol = as_tolerance(tol)
     residuals, passed, exact = {}, True, True
     for v in graph.non_sinks():
@@ -135,7 +135,7 @@ def boundary_matrix(graph: DirectedGraph, lam) -> list[list]:
     if isinstance(lam, dict):
         missing = [e.id for e in graph.edges if e.id not in lam]
         if missing:
-            raise MissingValue(f"lambda not total, missing {missing}")
+            raise InputError(f"lambda not total, missing {missing}")
         values = [lam[e.id] for e in graph.edges]
     else:
         values = [lam] * len(graph.edges)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .complexes import Face, Oriented2Complex, build_complex
 from .cwweights import MODE_STANDARD, MODE_TIGHT, Rank2Weight, verify_rank2
-from .errors import BadEmbedding, IncompatibleAttachment, ModeError, NotFaithful
+from .errors import InputError
 from .exact import scalar_eq, scalar_sign
-from .graphs import DirectedGraph, Edge, build_graph, spec_id, spec_ids, spec_list, spec_object
+from .graphs import DirectedGraph, Edge, build_graph, spec_fields, spec_id, spec_ids, spec_list, spec_object
 from .solver import DEFAULT_TOL, GraphWeight
 
 
@@ -41,21 +41,21 @@ class GraphEmbedding:
     def validate(self) -> None:
         vm, em = self.vertex_map, self.edge_map
         if set(vm.keys()) != set(self.source.vertices):
-            raise BadEmbedding("vertex map is not total on the source graph")
+            raise InputError("vertex map is not total on the source graph")
         if set(em.keys()) != set(self.source.edge_ids()):
-            raise BadEmbedding("edge map is not total on the source graph")
+            raise InputError("edge map is not total on the source graph")
         if len(set(vm.values())) != len(vm):
-            raise BadEmbedding("vertex map is not injective")
+            raise InputError("vertex map is not injective")
         if len(set(em.values())) != len(em):
-            raise BadEmbedding("edge map is not injective")
+            raise InputError("edge map is not injective")
         for v, tv in vm.items():
             if not self.target.has_vertex(tv):
-                raise BadEmbedding(f"vertex image {tv!r} not in target")
+                raise InputError(f"vertex image {tv!r} not in target")
         for e, te in em.items():
             if not self.target.has_edge(te):
-                raise BadEmbedding(f"edge image {te!r} not in target")
+                raise InputError(f"edge image {te!r} not in target")
             if self.target.src(te) != vm[self.source.src(e)] or self.target.dst(te) != vm[self.source.dst(e)]:
-                raise BadEmbedding(f"edge {e!r} does not commute with src/dst under the maps")
+                raise InputError(f"edge {e!r} does not commute with src/dst under the maps")
 
 
 @dataclass
@@ -105,12 +105,12 @@ def _colimit(pieces: dict[str, DirectedGraph], attachments: list[Attachment]) ->
                 continue
             if members.setdefault((owner, root), eid) != eid:
                 # gluing must stay injective on each residue
-                raise IncompatibleAttachment(
+                raise InputError(
                     f"residue {owner!r}: {kind} {members[(owner, root)]!r} and {eid!r} collapsed"
                 )
             best = names.setdefault(root, eid)
             if type(eid) is not type(best):
-                raise IncompatibleAttachment(f"residue ids {best!r} and {eid!r} name one element")
+                raise InputError(f"residue ids {best!r} and {eid!r} name one element")
             if eid < best:
                 names[root] = eid
 
@@ -128,7 +128,7 @@ def _colimit(pieces: dict[str, DirectedGraph], attachments: list[Attachment]) ->
             if name not in vowner:
                 vowner[name] = root
             elif root is None or vowner[name] != root:
-                raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
+                raise InputError(f"distinct elements both resolve to id {name!r}")
         emap = emaps[piece] = {}
         for e in graph.edges:
             root = eroots.get(e.id)
@@ -137,7 +137,7 @@ def _colimit(pieces: dict[str, DirectedGraph], attachments: list[Attachment]) ->
                 eowner[name] = root
                 edges.append(Edge(name, vmap[e.src], vmap[e.dst]))
             elif root is None or eowner[name] != root:
-                raise IncompatibleAttachment(f"distinct elements both resolve to id {name!r}")
+                raise InputError(f"distinct elements both resolve to id {name!r}")
     return DirectedGraph(tuple(vowner), tuple(edges)), vmaps, emaps
 
 
@@ -157,7 +157,7 @@ def glue_graphs(emb1: GraphEmbedding, emb2: GraphEmbedding) -> SplicedGraph:
     """The colimit of the shared graph, as piece "0" attached to itself by
     the identity, and the two targets, as pieces "1" and "2"."""
     if emb1.source != emb2.source:
-        raise BadEmbedding("embeddings must share their source graph")
+        raise InputError("embeddings must share their source graph")
     emb1.validate()
     emb2.validate()
     gamma = emb1.source
@@ -167,8 +167,8 @@ def glue_graphs(emb1: GraphEmbedding, emb2: GraphEmbedding) -> SplicedGraph:
     attachments = [Attachment(p, "shared", emb) for p, emb in zip(pieces, (identity, emb1, emb2))]
     try:
         graph, vmaps, emaps = _colimit(pieces, attachments)
-    except IncompatibleAttachment as exc:
-        raise BadEmbedding(f"id collision while gluing: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"id collision while gluing: {exc}") from exc
     return SplicedGraph(
         graph=graph,
         vertex_names=(vmaps["1"], vmaps["2"]),
@@ -198,16 +198,16 @@ def splice_graph_weights(
     """
     for w, emb, name in ((w1, emb1, "first"), (w2, emb2, "second")):
         if not w.is_total_on(emb.target):
-            raise NotFaithful(f"{name} weight is not total on its graph")
+            raise InputError(f"{name} weight is not total on its graph")
         if not all(scalar_sign(w.g[v]) > 0 for v in emb.target.vertices):
-            raise NotFaithful(f"{name} weight must have strictly positive g")
+            raise InputError(f"{name} weight must have strictly positive g")
     for v in emb1.source.vertices:
         s1 = emb1.target.is_sink(emb1.vertex_map[v])
         s2 = emb2.target.is_sink(emb2.vertex_map[v])
         if s1 != s2:
             # a one-sided sink would leave its g contribution unmatched in
             # the glued weight equation
-            raise BadEmbedding(
+            raise InputError(
                 f"shared vertex {v!r} is a sink in one piece but not the other"
             )
     spliced = glue_graphs(emb1, emb2)
@@ -260,16 +260,15 @@ def build_amalgam(spec: dict) -> Amalgam:
     }
     attachments = []
     for rec in spec_list(spec.get("attachments", []), "attachments"):
-        spec_object(rec, "attachment record")
-        pname = spec_id(rec["piece"], "attachment piece")
-        rname = spec_id(rec["residue"], "attachment residue")
-        if pname not in pieces:
-            raise IncompatibleAttachment(f"attachment references unknown piece {pname!r}")
-        if rname not in residues:
-            raise IncompatibleAttachment(f"attachment references unknown residue {rname!r}")
-        vertex_map, edge_map = (
-            dict(spec_object(rec[key], f"attachment {key}")) for key in ("vertex_map", "edge_map")
+        pname, rname, vertex_map, edge_map = spec_fields(
+            rec, "attachment record", "piece", "residue", "vertex_map", "edge_map"
         )
+        if spec_id(pname, "attachment piece") not in pieces:
+            raise InputError(f"attachment references unknown piece {pname!r}")
+        if spec_id(rname, "attachment residue") not in residues:
+            raise InputError(f"attachment references unknown residue {rname!r}")
+        vertex_map = dict(spec_object(vertex_map, "attachment vertex_map"))
+        edge_map = dict(spec_object(edge_map, "attachment edge_map"))
         spec_ids((*vertex_map.values(), *edge_map.values()), "attachment map image")
         emb = GraphEmbedding(
             source=residues[rname],
@@ -279,8 +278,8 @@ def build_amalgam(spec: dict) -> Amalgam:
         )
         try:
             emb.validate()
-        except BadEmbedding as exc:
-            raise IncompatibleAttachment(f"attachment {pname!r}<-{rname!r}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"attachment {pname!r}<-{rname!r}: {exc}") from exc
         attachments.append(Attachment(pname, rname, emb))
 
     if len(pieces) == 1 and not attachments:
@@ -296,7 +295,7 @@ def build_amalgam(spec: dict) -> Amalgam:
     face_names = {(p, f.id): f"{p}:{f.id}" for p, c in pieces.items() for f in c.faces}
     for fname, count in Counter(face_names.values()).items():
         if count > 1:
-            raise IncompatibleAttachment(f"distinct faces both resolve to id {fname!r}")
+            raise InputError(f"distinct faces both resolve to id {fname!r}")
     faces = tuple(
         Face(face_names[(p, f.id)], tuple(emaps[p][eid] for eid in f.boundary))
         for p, c in pieces.items()
@@ -318,17 +317,17 @@ def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_
     """
     for pname, piece in am.pieces.items():
         if pname not in weights:
-            raise NotFaithful(f"no weight supplied for piece {pname!r}")
+            raise InputError(f"no weight supplied for piece {pname!r}")
         w = weights[pname]
         if w.mode == MODE_TIGHT:
-            raise ModeError("tight-mode weights cannot be spliced; the summed lambda breaks lam = lambda_tilde")
+            raise InputError("tight-mode weights cannot be spliced; the summed lambda breaks lam = lambda_tilde")
         if w.mode != MODE_STANDARD:
-            raise ModeError(f"piece {pname!r}: splicing requires standard-mode weights")
+            raise InputError(f"piece {pname!r}: splicing requires standard-mode weights")
         report = verify_rank2(piece, w, tol)
         if not report.passed:
-            raise NotFaithful(f"piece {pname!r}: weight fails verification (max residual {report.max_residual:.3g})")
+            raise InputError(f"piece {pname!r}: weight fails verification (max residual {report.max_residual:.3g})")
         if not report.faithful:
-            raise NotFaithful(f"piece {pname!r}: weight is not faithful")
+            raise InputError(f"piece {pname!r}: weight is not faithful")
 
     # matching sink structure across the copies of each foundation vertex,
     # for the same reason as in the graph splice
@@ -336,7 +335,7 @@ def splice_cw_weights(am: Amalgam, weights: dict[str, Rank2Weight], tol=DEFAULT_
     for (pname, v), name in am.vertex_names.items():
         s = am.pieces[pname].skeleton.is_sink(v)
         if name in sink_status and sink_status[name] != s:
-            raise IncompatibleAttachment(
+            raise InputError(
                 f"foundation vertex {name!r} is a sink in one piece but not another"
             )
         sink_status[name] = s

@@ -14,7 +14,7 @@ from cwkms.buildings import (
     presentation_from_spec,
     sector_graphs,
 )
-from cwkms.errors import AmbiguousSector, InputError, InvalidTriple, NonpositiveBase
+from cwkms.errors import AmbiguousSector, InputError
 from cwkms.fixtures import gamma_q2_presentation_spec
 from cwkms.graphs import build_graph
 from cwkms.solver import GraphWeight, solve_special_weights, verify_graph_weight
@@ -61,7 +61,7 @@ class TestPresentation:
     def test_invalid_triple_rejected(self):
         spec = gamma_q2_presentation_spec()
         spec["triples"][0] = ["x0", "x1", "x2"]  # x1 not on the line of x0
-        with pytest.raises(InvalidTriple):
+        with pytest.raises(InputError, match="is not on the line of 'x0'"):
             presentation_from_spec(spec)
 
     def test_presentation_complex_shape(self, gamma_complex):
@@ -202,7 +202,7 @@ class TestShapeLattice:
                 lattice_weight_check(2, bound, {"a": F(1)})
 
     def test_nonpositive_base_rejected(self):
-        with pytest.raises(NonpositiveBase):
+        with pytest.raises(InputError, match="base value for 'a' must be positive"):
             lattice_weight_check(2, (2, 2), {"a": F(0)})
 
     def test_weights_table_shape(self):

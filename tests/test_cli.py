@@ -201,6 +201,7 @@ WEIGHT_FIELDS = ["g", "lambda", "lambda_tilde", "eta", "eta_a", "eta_b", "eta_in
 GAMMA_SPEC = json.loads((INPUTS / "gamma.json").read_text())
 GAMMA_TRIANGULAR = json.loads((INPUTS / "gamma-triangular.json").read_text())
 GAMMA_GRAPH = json.loads((INPUTS / "gamma-graph.json").read_text())
+RANK2_FIELDS = {"g": {}, "lambda": {}, "lambda_tilde": {}}
 
 
 @pytest.mark.parametrize(
@@ -221,6 +222,9 @@ GAMMA_GRAPH = json.loads((INPUTS / "gamma-graph.json").read_text())
         ("kms-check", FIG_B_SPEC, [1, 2], "expected a JSON object, got list"),
         ("kms-check", FIG_B_SPEC, {"lambda": {}}, "weight file missing field 'g'"),
         ("kms-check", [1, 2], {"g": {}, "lambda": {}}, "expected a JSON object, got list"),
+        ("verify", FIG_B_SPEC, {**RANK2_FIELDS, "eta_instances": {"s1": "1"}}, "key 's1' is not <face>:<position>"),
+        ("verify", FIG_B_SPEC, {**RANK2_FIELDS, "eta_instances": {"s1:x": "1"}}, "key 's1:x' is not <face>:<position>"),
+        ("verify", FIG_B_SPEC, {**RANK2_FIELDS, "eta_instances": {"1": "1"}}, "key '1' is not <face>:<position>"),
     ],
 )
 def test_malformed_weight_and_object_files(capsys, tmp_path, command, obj, weight, message):
@@ -239,6 +243,20 @@ def test_verify_mode_needs_a_rank2_weight(capsys, mode, weight):
     code, out, err = run(capsys, "verify", "--mode", mode, str(INPUTS / "gamma.json"), str(INPUTS / weight))
     assert (code, out) == (2, "")
     assert "verify --mode takes a rank-2 weight" in err
+
+
+@pytest.mark.parametrize(
+    "command, obj, weight",
+    [
+        (["verify"], "figB.json", "figB-rank2.json"),
+        (["verify"], "gamma.json", "gamma-triangular.json"),
+        (["kms-check", "--max-path-len", "1"], "gamma.json", "gamma-rank2.json"),
+    ],
+)
+def test_boundary_needs_a_graph_weight(capsys, command, obj, weight):
+    code, out, err = run(capsys, *command, "--boundary", str(INPUTS / obj), str(INPUTS / weight))
+    assert (code, out) == (2, "")
+    assert f"{command[0]} --boundary takes a graph weight" in err
 
 
 @pytest.mark.parametrize("command", [["solve-graph"], ["solve-graph", "--boundary"], ["boundary-graph"]])
@@ -437,12 +455,42 @@ def _run_spec(tmp_path, command: str, spec) -> tuple[int, str, str]:
         ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda", "x0"), 7), "is not a line index"),
         ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda", "x0"), -1), "is not a line index"),
         ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("triples", 0), ["x0", "x1"]), "three points"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("triples", 0, 2), "zz"), "names unknown point 'zz'"),
+        ("a2 complex", _replaced(gamma_q2_presentation_spec(), ("lambda", "zz"), 0), "names unknown point 'zz'"),
+        ("a2 complex", {**gamma_q2_presentation_spec(), "lambda": {}}, "no line for point 'x0'"),
     ],
 )
 def test_malformed_spec_shapes_exit_2(tmp_path, command, spec, message):
     code, out, err = _run_spec(tmp_path, command, spec)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def _required_fields():
+    """(command, path to a record, field, record name) for each field of
+    each edge and face record of figB, attachment record of the figB
+    double and top-level key of the gamma-q2 presentation spec."""
+    for command, key, record in (
+        ("boundary-graph", "edges", "edge record"),
+        ("boundary-graph", "faces", "face record"),
+        ("splice", "attachments", "attachment record"),
+    ):
+        for i, rec in enumerate(SPEC_BASES[command][key]):
+            yield from (pytest.param(command, (key, i), field, record, id=f"{key}-{i}-{field}") for field in rec)
+    for field in SPEC_BASES["a2 complex"]:
+        yield pytest.param("a2 complex", (), field, "presentation spec", id=f"presentation-{field}")
+
+
+@pytest.mark.parametrize("command, path, field, record", list(_required_fields()))
+def test_missing_spec_field_exits_2(tmp_path, command, path, field, record):
+    spec = json.loads(json.dumps(SPEC_BASES[command]))
+    node = spec
+    for key in path:
+        node = node[key]
+    del node[field]
+    code, out, err = _run_spec(tmp_path, command, spec)
+    assert (code, out) == (2, "")
+    assert f"error: {record} has no field {field!r}" in err
 
 
 def _slots(value, path=()):

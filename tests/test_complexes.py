@@ -11,7 +11,7 @@ from cwkms.complexes import (
     complex_to_dict,
     predecessor_graph,
 )
-from cwkms.errors import BrokenBoundaryWord, UnknownEdge
+from cwkms.errors import InputError
 from cwkms.fixtures import FIG_B_SPEC, monogon_triangle_spec
 from cwkms.graphs import adjacency_counts
 
@@ -36,14 +36,14 @@ def test_broken_boundary_word():
         ],
         "faces": [{"id": "s", "boundary": ["a", "b"]}],
     }
-    with pytest.raises(BrokenBoundaryWord):
+    with pytest.raises(InputError, match="edge 'a' ends at 'x' but 'b' starts at 'y'"):
         build_complex(spec)
 
 
 def test_unknown_edge_in_face():
     spec = dict(FIG_B_SPEC)
     spec["faces"] = [{"id": "s", "boundary": ["a", "nope"]}]
-    with pytest.raises(UnknownEdge):
+    with pytest.raises(InputError, match="references unknown edge 'nope'"):
         build_complex(spec)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
-from cwkms.errors import GraphMismatch, InputError, NonpositiveWeight
+from cwkms.errors import InputError
 from cwkms.fixtures import FIG_B_SPEC
 from cwkms import pathalgebra
 from cwkms.graphs import build_graph
@@ -91,7 +91,7 @@ class TestProducts:
     def test_graph_mismatch(self, figb, figb_boundary):
         a = vertex_projection(figb.skeleton, "u")
         b = vertex_projection(figb_boundary.graph, "a")
-        with pytest.raises(GraphMismatch):
+        with pytest.raises(InputError, match="monomials over different graphs"):
             monomial_product(a, b)
 
     @given(seed=st.integers(0, 10**6))
@@ -165,7 +165,7 @@ class TestEvolve:
         sk = figb.skeleton
         w = GraphWeight({v: 1.0 for v in sk.vertices}, {e.id: 0.0 for e in sk.edges})
         psi = functional_from_graph_weight(sk, w)
-        with pytest.raises(NonpositiveWeight):
+        with pytest.raises(InputError, match=r"lambda\(a\) must be positive for the flow"):
             psi.evolve(edge_isometry(sk, "a"), -1j)
 
     def test_one_parameter_group_on_products(self, boundary_psi, figb_boundary):
@@ -412,7 +412,7 @@ class TestKMSSweepSemantics:
         sa = edge_isometry(sk, "a")
         good = [(vertex_projection(sk, "u"), vertex_projection(sk, "u")), (sa, sa.star())]
         assert kms_check(psi, good, TOL).pairs_checked == 2
-        with pytest.raises(NonpositiveWeight):
+        with pytest.raises(InputError, match=r"lambda\(b\) must be positive for the flow"):
             kms_check(psi, good + [(sb, pz)], TOL)
 
     def test_equal_distinct_graphs_accepted(self, figb):
@@ -431,11 +431,11 @@ class TestKMSSweepSemantics:
         g3 = build_graph(spec)
         psi = functional_from_graph_weight(g1, random_faithful_weight(random.Random(5), g1))
         p1, p3 = vertex_projection(g1, "u"), vertex_projection(g3, "u")
-        with pytest.raises(GraphMismatch):
+        with pytest.raises(InputError, match="monomials over different graphs"):
             kms_check(psi, [(p1, p3)], TOL)
-        with pytest.raises(GraphMismatch):
+        with pytest.raises(InputError, match="monomial over a different graph"):
             kms_check(psi, [(p3, p3)], TOL)
-        with pytest.raises(GraphMismatch):
+        with pytest.raises(InputError, match="monomial over a different graph"):
             psi.eval(p3)
 
 
@@ -528,7 +528,7 @@ class TestExactDecisions:
         psi = functional_from_graph_weight(g1, random_faithful_weight(random.Random(5), g1))
         foreign = vertex_projection(g3, "u")
         assert foreign.balanced()
-        with pytest.raises(GraphMismatch):
+        with pytest.raises(InputError, match="monomial over a different graph"):
             gauge_check(psi, [vertex_projection(g1, "u"), foreign])
         # an equal graph built anew is the same graph
         assert gauge_check(psi, [vertex_projection(build_graph(FIG_B_SPEC), "u")]).passed

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cwkms
 from cwkms.complexes import boundary_graph
-from cwkms.errors import MissingValue
+from cwkms.errors import InputError
 from cwkms.exact import Poly, isolate_positive_roots, kernel_basis_exact, scalar_sign
 from cwkms.graphs import build_graph
 from cwkms.solver import (
@@ -56,7 +56,7 @@ class TestVerify:
 
     def test_missing_value(self):
         g = build_graph(LOOP)
-        with pytest.raises(MissingValue):
+        with pytest.raises(InputError, match=r"weight not total on graph, missing \['e'\]"):
             verify_graph_weight(g, GraphWeight({"v": F(1)}, {}), 0)
 
     def test_boundary_weight_fixture(self, figb_boundary):
@@ -120,7 +120,7 @@ class TestBoundaryMatrix:
         rows = boundary_matrix(g, {"e1": F(1, 3), "e2": F(1, 6), "f": F(2)})
         assert rows[0][1] == F(1, 2)
         assert rows[0][0] == F(-1)
-        with pytest.raises(MissingValue):
+        with pytest.raises(InputError, match=r"lambda not total, missing \['e2', 'f'\]"):
             boundary_matrix(g, {"e1": F(1)})
 
     @given(st.data())

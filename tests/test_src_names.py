@@ -98,3 +98,22 @@ def test_every_export_is_run_by_a_golden_or_listed_in_the_readme():
     unreached = {name for name in exported if not _reached(getattr(cwkms, name), codes)}
     assert sorted(unreached - listed) == [], "exports neither a golden runs nor the README lists"
     assert sorted(listed - exported) == [], "README Library names that cwkms does not export"
+
+
+def test_every_error_class_is_caught_somewhere():
+    """An exception class is worth its own type only where the package tells
+    it apart: each class in ``errors.py`` is named by an ``except`` clause or
+    an ``isinstance`` check in ``src/cwkms``."""
+    classes = {node.name for node in _parse(SRC / "errors.py").body if isinstance(node, ast.ClassDef)}
+    caught: set[str] = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                checked = node.type
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                checked = node.args[1]
+            else:
+                continue
+            caught |= {n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(checked) if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(classes - caught) == [], "error classes nothing catches; raise InputError instead"
