@@ -294,8 +294,8 @@ def cmd_kms_check(args) -> int:
         psi = functional_from_rank2(c, w, beta_sign)
         sk_monos = all_monomials(c.skeleton, args.max_path_len)
         bd_monos = all_monomials(boundary_graph(c).graph, args.max_path_len)
-        rep1 = kms_check(psi.skeleton, [(x, y) for x in sk_monos for y in sk_monos], args.tol)
-        rep2 = kms_check(psi.boundary, [(x, y) for x in bd_monos for y in bd_monos], args.tol)
+        rep1 = kms_check(psi.skeleton, ((x, y) for x in sk_monos for y in sk_monos), args.tol)
+        rep2 = kms_check(psi.boundary, ((x, y) for x in bd_monos for y in bd_monos), args.tol)
         rng = random.Random(0)
         mixed = [Rank2Monomial(rng.choice(sk_monos), rng.choice(bd_monos)) for _ in range(100)]
         rep3 = kms_check(psi, [(rng.choice(mixed), rng.choice(mixed)) for _ in range(1000)], args.tol)
@@ -313,7 +313,7 @@ def cmd_kms_check(args) -> int:
         graph = _graph_of(obj, args.boundary)
         psi = functional_from_graph_weight(graph, w, beta_sign)
         monos = all_monomials(graph, args.max_path_len)
-        rep = kms_check(psi, [(x, y) for x in monos for y in monos], args.tol)
+        rep = kms_check(psi, ((x, y) for x in monos for y in monos), args.tol)
         gauge = gauge_check(psi, monos)
         passed = rep.passed and gauge.passed
         out = {

@@ -221,6 +221,15 @@ class WeightFunctional:
         value = self.lam_of_path(nu) * self.weight.g[path_range(self.graph, nu)]
         return coeff * value if coeff != 1 else value
 
+    def degree(self, m):
+        """The gauge degree |mu| - |nu| of a monomial over psi's graph (the
+        same object, or one already found equal), else None."""
+        if isinstance(m, PathMonomial):
+            g = m.graph
+            if g is self.graph or self._equal_graphs.get(id(g)) is g:
+                return len(m.mu.edges) - len(m.nu.edges)
+        return None
+
     def check_graph(self, m: PathMonomial) -> None:
         g = m.graph
         if g is self.graph or self._equal_graphs.get(id(g)) is g:
@@ -280,6 +289,17 @@ class Rank2Functional:
             return 0
         v1 = self.skeleton._value(a.skeleton_part, *ws)
         return 0 if v1 == 0 else v1 * self.boundary._value(a.boundary_part, *wb)
+
+    def degree(self, m):
+        """The factor degrees as the Gaussian integer ds + db*1j, so that two
+        degrees sum to 0 iff both factor sums do; None unless ``m`` is a rank
+        2 monomial over psi's two graphs."""
+        if isinstance(m, Rank2Monomial):
+            ds = self.skeleton.degree(m.skeleton_part)
+            db = None if ds is None else self.boundary.degree(m.boundary_part)
+            if db is not None:
+                return complex(ds, db)
+        return None
 
     def check_graph(self, m: Rank2Monomial) -> None:
         self.skeleton.check_graph(m.skeleton_part)
@@ -348,29 +368,47 @@ def kms_check(psi, sample, tol=DEFAULT_TOL) -> KMSReport:
     ratio, so for exact weights each d = lhs - rhs is exact, and the sweep
     passes iff every |d| <= tol.  Only the reported figures are floats.
 
+    A pair whose gauge degrees (|mu| - |nu|, per factor for rank 2) do not
+    sum to 0 is settled as d = 0 without reducing it: the degree of a
+    reduced product is the sum of the degrees, psi is 0 off degree 0, and
+    sigma(x) is a multiple of x, so both sides are exactly 0.  This holds
+    only for monomials over psi's graphs (see ``degree``); any other pair
+    is reduced, and raises as a product of them does.
+
     ``sample`` is any iterable of pairs, a generator included.  Within one
     call sigma is applied at most once per distinct x, and only to an x
-    with some y x non-zero: sigma(x) is a nonzero multiple of x, so y x and
-    y sigma(x) vanish together.  The memo is keyed by ``id(x)`` and holds
-    every x, so an id cannot be reused while the call runs.  The sign of
-    lambda is checked once per edge of the x's, ``evolve`` included, so a
-    non-positive lambda raises InputError as when each pair was evolved
-    on its own.  The worst pair is the first with the largest |d| > 0.
+    with some y of opposite degree and y x non-zero: sigma(x) is a nonzero
+    multiple of x, so y x and y sigma(x) vanish together.  The memo is
+    keyed by ``id(x)`` and holds every x, so an id cannot be reused while
+    the call runs.  The sign of lambda is checked once per edge of the
+    x's, ``evolve`` included, so a non-positive lambda raises InputError as
+    when each pair was evolved on its own.  The worst pair is the first
+    with the largest |d| > 0.
     """
     tol = as_tolerance(tol)
     worst = None
     maxd = 0
     pairs = 0
     t = 1j * psi.beta_sign
+    degree = psi.degree
     checked: set = set()
-    seen: dict = {}  # id(x) -> [x, sigma(x) or None until a pair needs it]
+    seen: dict = {}  # id(x) -> [x, sigma(x) or None, -degree(x) or None]
     for x, y in sample:
         pairs += 1
-        lhs = psi.product_value(x, y)
         memo = seen.get(id(x))
         if memo is None:
+            dx = degree(x)
+            want = None if dx is None else -dx
+        else:
+            want = memo[2]
+        dy = None if want is None else degree(y)
+        settled = dy is not None and dy != want
+        lhs = 0 if settled else psi.product_value(x, y)
+        if memo is None:
             psi.check_positive(x, checked)
-            memo = seen[id(x)] = [x, None]
+            memo = seen[id(x)] = [x, None, want]
+        if settled:
+            continue
         rhs = 0
         if _meets(y, x):
             if memo[1] is None:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cwkms.cli
 from cwkms.cli import main
 from cwkms.cwweights import MODE_STANDARD, solve_2dcw
 from cwkms.fixtures import FIG_B_SPEC, fig_b_double_amalgam_spec, gamma_q2_presentation_spec
 
-from .test_golden import INPUTS, expected, golden_text
+from .test_golden import INPUTS, argv_of, expected, golden_text
 
 
 def run(capsys, *argv):
@@ -137,6 +138,26 @@ def test_kms_check_cli(capsys, tmp_path, figb_file, figb):
     data = json.loads(out)
     assert data["passed"] is True
     assert data["skeleton_factor"]["passed"] and data["boundary_factor"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "case, streamed", [("kms-check-rank2-figB", [True, True, False]), ("kms-check-graph-figB-boundary", [True])]
+)
+def test_kms_check_streams_its_all_pairs_sweeps(capsys, monkeypatch, case, streamed):
+    """The all-pairs sweeps reach ``kms_check`` as iterators, never as
+    lists of every pair; the sampled mixed sweep stays a list.  The output
+    is the golden one."""
+    kinds = []
+    check = cwkms.cli.kms_check
+
+    def recording(psi, sample, tol):
+        kinds.append(type(sample))
+        return check(psi, sample, tol)
+
+    monkeypatch.setattr(cwkms.cli, "kms_check", recording)
+    code, out, _ = run(capsys, *argv_of(case))
+    assert golden_text(code, out) == expected(case)
+    assert [hasattr(kind, "__next__") for kind in kinds] == streamed
 
 
 def test_splice_cli(capsys, tmp_path, figb):

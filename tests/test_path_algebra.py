@@ -1,6 +1,7 @@
 """Path monomial calculus, the induced functional, and the equilibrium
 identity."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwkms.cwweights import MODE_STANDARD, solve_2dcw
+from cwkms.cwweights import MODE_STANDARD, solve_2dcw, weight_from_dict
 from cwkms.errors import InputError
 from cwkms.fixtures import FIG_B_SPEC
 from cwkms import pathalgebra
@@ -33,6 +34,7 @@ from cwkms.pathalgebra import (
 from cwkms.solver import GraphWeight
 
 from .conftest import fig_b_standard_weight, random_faithful_weight
+from .test_golden import INPUTS
 from .test_cw_weights import ETA0
 
 TOL = F(1, 10**10)
@@ -304,6 +306,17 @@ def _fresh(m):
     return PathMonomial(m.graph, m.mu, m.nu, m.coeff)
 
 
+def _degrees(m) -> tuple:
+    """|mu| - |nu| per factor."""
+    parts = (m.skeleton_part, m.boundary_part) if isinstance(m, Rank2Monomial) else (m,)
+    return tuple(len(p.mu.edges) - len(p.nu.edges) for p in parts)
+
+
+def _opposite(x, y) -> bool:
+    """Whether the degrees of x and y sum to 0 in every factor."""
+    return all(a + b == 0 for a, b in zip(_degrees(x), _degrees(y)))
+
+
 KMS_CASES = [
     "graph-float",
     "graph-rational",
@@ -384,9 +397,10 @@ class TestKMSSweepSemantics:
         kms_check(psi, sample, TOL)
         distinct = {id(x) for x, _ in sample}
         assert len(distinct) < len(sample)
-        # sigma(x) is read only through y sigma(x), which vanishes with y x
+        # sigma(x) is read only through y sigma(x), which vanishes with y x,
+        # and only for a y of opposite degree: psi is 0 off degree 0
         product = rank2_product if isinstance(sample[0][0], Rank2Monomial) else monomial_product
-        needed = {id(x) for x, y in sample if product(y, x)}
+        needed = {id(x) for x, y in sample if _opposite(x, y) and product(y, x)}
         assert calls == Counter(dict.fromkeys(needed, 1))
 
     @pytest.mark.parametrize("case", KMS_CASES)
@@ -437,6 +451,110 @@ class TestKMSSweepSemantics:
             kms_check(psi, [(p3, p3)], TOL)
         with pytest.raises(InputError, match="monomial over a different graph"):
             psi.eval(p3)
+
+
+# ---------------------------------------------------------------------------
+# Pairs of non-zero degree sum, settled without reduction
+# ---------------------------------------------------------------------------
+
+def _monomials_over(graph, max_len: int):
+    """Strategy: S_mu S_nu* over ``graph`` with |mu|, |nu| <= max_len, so
+    that samples mix degrees from -max_len to max_len."""
+    by_range: dict = {}
+    for p in all_paths(graph, max_len):
+        by_range.setdefault(path_range(graph, p), []).append(p)
+    return (
+        st.sampled_from(list(by_range.values()))
+        .flatmap(lambda group: st.tuples(st.sampled_from(group), st.sampled_from(group)))
+        .map(lambda pair: PathMonomial(graph, *pair))
+    )
+
+
+def _star(m):
+    if isinstance(m, Rank2Monomial):
+        return Rank2Monomial(m.skeleton_part.star(), m.boundary_part.star())
+    return m.star()
+
+
+GRADING_CASES = [
+    (name, part, beta_sign)
+    for name in ("figB", "gamma")
+    for part in ("skeleton", "boundary", "mixed")
+    for beta_sign in (-1, 1)
+]
+
+
+@pytest.fixture(scope="module")
+def grading(figb, gamma_complex):
+    """Per complex, factor and sign: the functional and a strategy for its
+    monomials, paths up to length 3.  figB carries its number-field
+    standard weight, gamma the rational weight of the golden inputs."""
+    weights = {
+        "figB": (figb, solve_2dcw(figb, MODE_STANDARD)[0].weight),
+        "gamma": (gamma_complex, weight_from_dict(json.loads((INPUTS / "gamma-rank2.json").read_text()))),
+    }
+    out = {}
+    for name, part, beta_sign in GRADING_CASES:
+        psi = functional_from_rank2(*weights[name], beta_sign)
+        sk, bd = _monomials_over(psi.skeleton.graph, 3), _monomials_over(psi.boundary.graph, 3)
+        out[name, part, beta_sign] = {
+            "skeleton": (psi.skeleton, sk),
+            "boundary": (psi.boundary, bd),
+            "mixed": (psi, st.builds(Rank2Monomial, sk, bd)),
+        }[part]
+    return out
+
+
+class TestDegreeSettling:
+    @given(data=st.data(), case=st.sampled_from(GRADING_CASES), stream=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_on_mixed_degrees(self, grading, data, case, stream):
+        """Samples of every degree, listed or streamed as fresh monomials:
+        the sweep agrees with the pair-by-pair reference, worst pair
+        included."""
+        psi, monomials = grading[case]
+        pool = data.draw(st.lists(monomials, min_size=1, max_size=8))
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans()), min_size=1, max_size=40)
+        )
+        # x x* is never zero, so the starred pairs have non-zero products of degree 0
+        sample = [
+            (pool[i % len(pool)], _star(pool[i % len(pool)]) if starred else pool[j % len(pool)])
+            for i, j, starred in picks
+        ]
+        passed, count, maxd, worst = reference_kms(psi, sample, TOL)
+        if stream:
+            rep = kms_check(psi, ((_fresh(x), _fresh(y)) for x, y in sample), TOL)
+        else:
+            rep = kms_check(psi, sample, TOL)
+        assert (rep.passed, rep.pairs_checked) == (passed, count)
+        assert rep.max_discrepancy == pytest.approx(maxd, rel=1e-12)
+        if worst is None:
+            assert rep.worst_pair is None
+        elif stream:
+            assert [repr(m) for m in rep.worst_pair] == [repr(m) for m in worst]
+        else:
+            assert rep.worst_pair[0] is worst[0] and rep.worst_pair[1] is worst[1]
+
+    def test_foreign_monomial_of_nonzero_degree_sum_raises(self):
+        """A monomial over another graph is reduced, not settled, so its pair
+        raises the graph error, also before the lambda error of an x over
+        psi's own graph."""
+        g1 = build_graph(FIG_B_SPEC)
+        spec = {**FIG_B_SPEC, "edges": FIG_B_SPEC["edges"] + [{"id": "g", "src": "z", "dst": "u"}]}
+        g3 = build_graph(spec)
+        w = random_faithful_weight(random.Random(5), g1)
+        w.lam["a"] = F(0)
+        psi = functional_from_graph_weight(g1, w)
+        own, foreign = edge_isometry(g1, "a"), edge_isometry(g3, "g")
+        for pair in [(own, foreign), (foreign, own)]:
+            with pytest.raises(InputError, match="monomials over different graphs"):
+                kms_check(psi, [pair], TOL)
+        # S_g S_a reduces to a non-zero word of degree 2 over the foreign graph
+        foreign_a = edge_isometry(g3, "a")
+        assert monomial_product(foreign, foreign_a)
+        with pytest.raises(InputError, match="monomial over a different graph"):
+            kms_check(psi, [(foreign, foreign_a)], TOL)
 
 
 # ---------------------------------------------------------------------------
